@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants
 
 from .errors import ValidationError
 from .packets import Geometry, effective_tau, spread_sigma
@@ -40,6 +39,9 @@ FLATNESS_RTOL = 1e-9
 
 #: Slack on the duality inequalities (absorbs estimator error at the bound).
 DUALITY_TOL = 1e-9
+
+#: Planck's constant in J s, exact in the 2019 SI.
+PLANCK_H = 6.62607015e-34
 
 
 @dataclass(frozen=True)
@@ -362,10 +364,10 @@ def bohr_analysis(geom: Geometry) -> BohrReport:
     the minimum-uncertainty position blur for that momentum resolution, and
     the Young fringe pitch is wavelength L / d.  Their ratio is the constant
     1/4pi for every geometry, which is the whole point: the blur is the same
-    order as the pitch.
+    order as the pitch.  h is Planck's constant at its exact 2019 SI value.
     """
     lam, d, dist = geom.wavelength, geom.slit_sep, geom.screen_dist
-    delta_px = (constants.h / lam) * (d / dist)
+    delta_px = (PLANCK_H / lam) * (d / dist)
     delta_x = lam * dist / (4.0 * math.pi * d)
     fringe_sep = lam * dist / d
     return BohrReport(

@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
+from ._schema import schema_error
 from .analysis import bohr_analysis, duality_report
 from .errors import NumericFailure, ValidationError
 from .packets import Geometry
@@ -53,48 +54,52 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(value) -> str:
-    """Serialize one cell: floats at 17 significant digits, bools lowercase."""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+def _cells(column) -> list[str]:
+    """Serialize a column or scalar: floats at 17 significant digits, bools lowercase."""
+    values = np.atleast_1d(column)
+    if values.dtype == np.bool_:
+        return ["true" if v else "false" for v in values.tolist()]
+    return ["%.17g" % v for v in values.tolist()]
 
 
-def _emit_csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _emit_csv(columns: dict) -> str:
+    """One header line, then one line per row; a scalar field makes a single row."""
+    rows = map(",".join, zip(*map(_cells, columns.values())))
+    return "\n".join([",".join(columns), *rows]) + "\n"
 
 
-def _emit_json(obj) -> str:
+def _emit_json(fields: dict) -> str:
     # hand-rolled so floats keep the 17-digit contract (json.dumps uses repr)
-    def render(v):
-        if isinstance(v, dict):
-            return "{" + ", ".join(f"{json.dumps(k)}: {render(x)}" for k, x in v.items()) + "}"
-        if isinstance(v, (list, tuple)):
-            return "[" + ", ".join(render(x) for x in v) + "]"
-        if isinstance(v, str):
-            return json.dumps(v)
-        return _fmt(v)
+    def render(value):
+        cells = _cells(value)
+        return "[" + ", ".join(cells) + "]" if np.ndim(value) else cells[0]
 
-    return render(obj) + "\n"
-
-
-def _columns_to_json(header: list[str], rows: list[list]) -> dict:
-    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    return "{" + ", ".join(f"{json.dumps(k)}: {render(v)}" for k, v in fields.items()) + "}\n"
 
 
 def _write_output(text: str, path: str | None):
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    if os.path.exists(path) and not os.path.isfile(path):
+        # a device or pipe such as /dev/stdout must be written, not renamed over
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        print(f"wrote {path}", file=sys.stderr)
+    else:
+        # write beside the file and rename over it, so an interrupted write
+        # leaves the old file or none, never a truncated one; a symlink is
+        # followed so the file it names is replaced, not the link
+        target = os.path.realpath(path)
+        tmp = f"{target}.{os.getpid()}.tmp"
+        fh = open(tmp, "x", encoding="utf-8", newline="")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    print(f"wrote {path}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +127,9 @@ def _load_json(path: str) -> dict:
 
 
 def _run_config_from_dict(raw: dict) -> RunConfig:
-    try:
-        jsonschema.validate(raw, _SCHEMA)
-    except jsonschema.exceptions.ValidationError as exc:
-        raise ValidationError(f"config rejected by schema: {exc.message}") from exc
+    error = schema_error(raw, _SCHEMA)
+    if error is not None:
+        raise ValidationError(f"config rejected by schema: {error}")
     geo = raw["geometry"]
     geometry = Geometry(
         wavelength=geo["lambda_d"],
@@ -157,10 +161,9 @@ def load_run_config(path: str) -> RunConfig:
 
 def load_sweep_config(path: str) -> tuple[RunConfig, str, list[float]]:
     raw = _load_json(path)
-    try:
-        jsonschema.validate(raw, _SWEEP_SCHEMA)
-    except jsonschema.exceptions.ValidationError as exc:
-        raise ValidationError(f"sweep config rejected by schema: {exc.message}") from exc
+    error = schema_error(raw, _SWEEP_SCHEMA)
+    if error is not None:
+        raise ValidationError(f"sweep config rejected by schema: {error}")
     base = _run_config_from_dict(raw["base"])
     param = raw["sweep_param"]
     values = [float(v) for v in raw["values"]]
@@ -212,14 +215,14 @@ def _cmd_pattern(args) -> int:
     total = float(np.trapezoid(intensity, xs))
     if not (math.isfinite(total) and total > 0.0):
         raise NumericFailure(f"pattern integral {total!r} is not a positive number")
-    header = ["x_m", "intensity", "envelope", "interference_term"]
-    rows = [
-        [float(x), float(i / total), float(e / total), float(t / total)]
-        for x, i, e, t in zip(xs, intensity, envelope, interference)
-    ]
+    columns = {
+        "x_m": xs,
+        "intensity": intensity / total,
+        "envelope": envelope / total,
+        "interference_term": interference / total,
+    }
     fmt, path = _resolve_output(cfg.out_format, cfg.out_path, args, "csv")
-    text = _emit_csv(header, rows) if fmt == "csv" else _emit_json(_columns_to_json(header, rows))
-    _write_output(text, path)
+    _write_output(_emit_csv(columns) if fmt == "csv" else _emit_json(columns), path)
     return 0
 
 
@@ -240,19 +243,19 @@ def _config_for_sweep(base: RunConfig, param: str, value: float) -> tuple[Geomet
 
 def _cmd_scan_duality(args) -> int:
     base, param, values = load_sweep_config(args.config)
-    header = ["s", "D", "V_bound", "V_numeric", "dP2", "dQ2", "lhs", "rhs_unc",
-              "egy_ok", "unc_ok"]
-    rows = []
+    overlaps, reports = [], []
     for value in values:
         geometry, overlap, phase = _config_for_sweep(base, param, value)
         pair = make_detector_pair(overlap, phase)
         grid = base.grid if base.grid is not None else default_grid(geometry)
-        rep = duality_report(geometry, pair, grid)
-        rows.append([pair.overlap_mag, rep.D, rep.V_bound, rep.V_numeric, rep.dP2,
-                     rep.dQ2, rep.lhs, rep.rhs_unc, rep.egy_ok, rep.unc_ok])
+        overlaps.append(pair.overlap_mag)
+        reports.append(duality_report(geometry, pair, grid))
+    columns = {"s": overlaps}
+    for name in ("D", "V_bound", "V_numeric", "dP2", "dQ2", "lhs", "rhs_unc",
+                 "egy_ok", "unc_ok"):
+        columns[name] = [getattr(rep, name) for rep in reports]
     fmt, path = _resolve_output(base.out_format, base.out_path, args, "csv")
-    text = _emit_csv(header, rows) if fmt == "csv" else _emit_json(_columns_to_json(header, rows))
-    _write_output(text, path)
+    _write_output(_emit_csv(columns) if fmt == "csv" else _emit_json(columns), path)
     return 0
 
 
@@ -264,15 +267,14 @@ def _cmd_eraser(args) -> int:
     js = JointState(cfg.geometry, pair)
     basis = rotated_basis(cfg.basis_angle)
     er = conditional_patterns(_resolve_grid(cfg), js, basis)
-    xs = er.i_b.grid.xs()
-    header = ["x_m", "i_q1", "i_q2", "i_sum"]
-    rows = [
-        [float(x), float(a), float(b), float(c)]
-        for x, a, b, c in zip(xs, er.i_b.intensity, er.i_b_perp.intensity, er.i_sum.intensity)
-    ]
+    columns = {
+        "x_m": er.i_b.grid.xs(),
+        "i_q1": er.i_b.intensity,
+        "i_q2": er.i_b_perp.intensity,
+        "i_sum": er.i_sum.intensity,
+    }
     fmt, path = _resolve_output(cfg.out_format, cfg.out_path, args, "csv")
-    text = _emit_csv(header, rows) if fmt == "csv" else _emit_json(_columns_to_json(header, rows))
-    _write_output(text, path)
+    _write_output(_emit_csv(columns) if fmt == "csv" else _emit_json(columns), path)
     return 0
 
 
@@ -280,22 +282,21 @@ def _cmd_uncertainty_scan(args) -> int:
     if args.samples < 1:
         raise ValidationError(f"samples must be >= 1, got {args.samples}")
     lattice = bloch_sphere_lattice(args.samples)
-    header = ["n1", "n2", "n3", "var_sigma2", "var_sigma3", "sum"]
-    rows = []
+    variances = []
     min_sum = math.inf
     for n1, n2, n3 in lattice:
         state = state_from_bloch(n1, n2, n3)
         dq2, dp2, total = sum_uncertainty(state)
         min_sum = min(min_sum, total)
-        rows.append([float(n1), float(n2), float(n3), dq2, dp2, total])
+        variances.append((dq2, dp2, total))
+    var_sigma2, var_sigma3, sums = np.array(variances).T
+    columns = {"n1": lattice[:, 0], "n2": lattice[:, 1], "n3": lattice[:, 2],
+               "var_sigma2": var_sigma2, "var_sigma3": var_sigma3, "sum": sums}
     fmt, path = _resolve_output(None, None, args, "csv")
     if fmt == "csv":
-        text = _emit_csv(header, rows)
-        text += f"min_sum,,,,,{_fmt(min_sum)}\n"
+        text = _emit_csv(columns) + f"min_sum,,,,,{_cells(min_sum)[0]}\n"
     else:
-        obj = _columns_to_json(header, rows)
-        obj["min_sum"] = min_sum
-        text = _emit_json(obj)
+        text = _emit_json({**columns, "min_sum": min_sum})
     _write_output(text, path)
     return 0
 
@@ -313,11 +314,7 @@ def _cmd_bohr(args) -> int:
         "fringe_sep": rep.fringe_sep,
         "ratio": rep.ratio,
     }
-    if fmt == "json":
-        text = _emit_json(payload)
-    else:
-        text = _emit_csv(list(payload), [list(payload.values())])
-    _write_output(text, path)
+    _write_output(_emit_json(payload) if fmt == "json" else _emit_csv(payload), path)
     return 0
 
 

@@ -1,6 +1,7 @@
 """CLI contracts: schemas, output formats, determinism, exit codes."""
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -358,3 +359,56 @@ class TestEntryPoints:
 
     def test_missing_required_flag(self, capsys):
         assert main(["pattern"]) == 1
+
+
+class TestWriteOutput:
+    @pytest.mark.parametrize("existing", [None, "old contents\n"])
+    def test_failed_write_leaves_old_file_or_none(self, tmp_path, existing):
+        from whichway.cli import _write_output
+
+        target = tmp_path / "out.csv"
+        if existing is not None:
+            target.write_text(existing)
+        # a lone surrogate cannot be encoded, so the write fails part way
+        with pytest.raises(UnicodeEncodeError):
+            _write_output("x_m\n" * 100_000 + "\ud800\n", str(target))
+        assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["out.csv"])
+        if existing is not None:
+            assert target.read_text() == existing
+
+    def test_interrupt_before_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        from whichway import cli
+
+        def interrupt(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli.os, "replace", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            cli._write_output("x_m\n1\n", str(tmp_path / "out.csv"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_symlink_target_is_replaced_and_link_kept(self, tmp_path):
+        from whichway.cli import _write_output
+
+        real = tmp_path / "real.csv"
+        real.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        _write_output("new\n", str(link))
+        assert link.is_symlink() and real.read_text() == "new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+    def test_device_is_written_not_renamed_over(self, monkeypatch):
+        from whichway import cli
+
+        def forbidden(src, dst):
+            raise AssertionError(f"rename onto {dst}")
+
+        monkeypatch.setattr(cli.os, "replace", forbidden)
+        cli._write_output("x_m\n1\n", os.devnull)
+        assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+
+    def test_unwritable_directory_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert main(["pattern", "--config", str(cfg), "--out", str(tmp_path / "no" / "p.csv")]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
