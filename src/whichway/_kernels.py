@@ -1,39 +1,53 @@
-"""Dense-grid intensity kernels, NumPy implementation.
+"""Dense-grid intensity kernels.
 
-The compiled extension (_kernels_cy) exposes the same callables; pattern.py
-uses whichever module the backend selector picked.  All kernels take the raw
-grid plus scalar physics parameters and return unnormalized intensities in
-the convention where the full (equal-amplitude) pattern integrates to ~1.
+All kernels take scalar physics parameters and return unnormalized
+intensities in the convention where the full (equal-amplitude) pattern
+integrates to ~1.  The direct and conditional routes start from the two
+evolved branch packets: they depend on the geometry and the grid only, while
+detector states and path amplitudes merely weight and mix them, so a sweep
+over detector states can evolve them once and combine them per state.
 """
 import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 
 
-def packet_grid(xs, center, eps, tau):
-    """Complex evolved packet amplitude on a grid."""
-    xs = np.asarray(xs, dtype=float)
-    prefactor = 1.0 / _SQRT2 / np.sqrt(math.sqrt(2.0 * math.pi) * (eps + 0.5j * tau / eps))
-    return prefactor * np.exp(-((xs - center) ** 2) / (4.0 * eps * eps + 2.0j * tau))
+@dataclass(frozen=True, eq=False)
+class BranchPackets:
+    """Both evolved packets on one grid.
+
+    g1 is centered at +slit_sep/2 (the branch tied to detector state d1),
+    g2 at -slit_sep/2.
+    """
+
+    g1: np.ndarray
+    g2: np.ndarray
+
+    @cached_property
+    def moduli(self) -> tuple[np.ndarray, np.ndarray]:
+        """|g1|^2 and |g2|^2."""
+        g1, g2 = self.g1, self.g2
+        return g1.real**2 + g1.imag**2, g2.real**2 + g2.imag**2
 
 
-def direct_grid(xs, slit_sep, eps, tau, a1, a2, ip):
+def direct_grid(packets: BranchPackets, a1, a2, ip):
     """Screen intensity from the complex amplitudes of both branches.
 
     ip is the detector overlap <d1|d2>; a1, a2 are the (complex, normalized)
-    path amplitudes.  The branch tied to d1 is the packet centered at
-    +slit_sep/2.
+    path amplitudes.
     """
-    g1 = packet_grid(xs, +0.5 * slit_sep, eps, tau)
-    g2 = packet_grid(xs, -0.5 * slit_sep, eps, tau)
-    cross = np.conj(a1) * a2 * ip * np.conj(g1) * g2
-    return 2.0 * (
-        abs(a1) ** 2 * (g1.real**2 + g1.imag**2)
-        + abs(a2) ** 2 * (g2.real**2 + g2.imag**2)
-        + 2.0 * cross.real
-    )
+    mod1, mod2 = packets.moduli
+    cross = np.conj(a1) * a2 * ip * np.conj(packets.g1) * packets.g2
+    # 2 (|a1|^2 mod1 + |a2|^2 mod2 + 2 Re cross), summed in one array
+    out = abs(a1) ** 2 * mod1
+    out += abs(a2) ** 2 * mod2
+    out += 2.0 * cross.real
+    out *= 2.0
+    return out
 
 
 def closed_grid(xs, slit_sep, eps, tau, s, theta):
@@ -58,15 +72,14 @@ def closed_parts_grid(xs, slit_sep, eps, tau, s, theta):
     return envelope, interference
 
 
-def conditional_grid(xs, slit_sep, eps, tau, a1, a2, b_d1, b_d2, p_d1, p_d2):
+def conditional_grid(packets: BranchPackets, a1, a2, b_d1, b_d2, p_d1, p_d2):
     """Screen intensities conditioned on the two detector-basis outcomes.
 
     b_d1 = <b|d1> etc. for the first basis state, p_* for its orthogonal
     partner.  Returns the two branch intensities; their sum equals
     direct_grid for the same state.
     """
-    g1 = packet_grid(xs, +0.5 * slit_sep, eps, tau)
-    g2 = packet_grid(xs, -0.5 * slit_sep, eps, tau)
+    g1, g2 = packets.g1, packets.g2
     u = _SQRT2 * (b_d1 * a1 * g1 + b_d2 * a2 * g2)
     v = _SQRT2 * (p_d1 * a1 * g1 + p_d2 * a2 * g2)
     return u.real**2 + u.imag**2, v.real**2 + v.imag**2

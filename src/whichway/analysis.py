@@ -18,6 +18,8 @@ exposed separately for fringe-spacing measurements and eraser checks.
 from __future__ import annotations
 
 import math
+import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,27 +181,94 @@ def fringe_spacing(pattern: PatternSamples, kind: str = "maxima",
     return float(np.mean(np.diff(pos)))
 
 
-def _fitted_envelope(xs: np.ndarray, ys: np.ndarray,
-                     where: np.ndarray | None = None) -> np.ndarray:
+class _FitRows(threading.local):
+    """Each thread's buffer for the quartic fit's Vandermonde rows.
+
+    A fresh (5, n) array per fit can be handed back to the OS when freed
+    and faulted in again by the next fit, which on the default 8192-point
+    grid can cost more time than the fit's arithmetic.  The buffer's
+    contents never carry from one fit to the next.
+    """
+
+    rows = np.empty((5, 0))
+
+    def take(self, n: int) -> np.ndarray:
+        if self.rows.shape[1] < n:
+            self.rows = np.empty((5, n))
+        return self.rows[:, :n]
+
+
+_fit_rows = _FitRows()
+
+
+def _quartic_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted least-squares quartic coefficients, lowest degree first.
+
+    Bit for bit what ``np.polynomial.polynomial.polyfit(x, y, 4, w=w)``
+    returns, by the same steps: the Vandermonde rows scaled by the weights
+    and then by their norms, solved by the same LAPACK call.  The rows are
+    built and scaled in place in one (5, n) buffer instead of a fresh array
+    per step.
+    """
+    n = len(x)
+    lhs = _fit_rows.take(n)
+    # polyfit adds 0.0 to its inputs (turning -0.0 into 0.0); so do we
+    x = np.add(x, 0.0, out=lhs[1])
+    np.multiply(x, 0, out=lhs[0])
+    lhs[0] += 1
+    for i in (2, 3, 4):
+        np.multiply(lhs[i - 1], x, out=lhs[i])
+    w = w + 0.0
+    lhs *= w
+    rhs = y + 0.0
+    rhs *= w
+    scl = np.empty(5)
+    for i, row in enumerate(lhs):
+        scl[i] = np.square(row, out=w).sum()  # w is spent; reuse it
+    np.sqrt(scl, out=scl)
+    scl[scl == 0] = 1
+    lhs /= scl[:, None]
+    coeffs, _, rank, _ = np.linalg.lstsq(lhs.T, rhs, n * np.finfo(float).eps)
+    if rank != 5:
+        warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning,
+                      stacklevel=2)
+    return coeffs / scl
+
+
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The polynomial at x, bit for bit ``np.polynomial.polynomial.polyval``,
+    accumulated in one buffer."""
+    out = np.multiply(x, 0)
+    out += coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out *= x
+        out += c
+    return out
+
+
+def _fitted_envelope(xs: np.ndarray, ys: np.ndarray, peak: float,
+                     fitted: np.ndarray) -> np.ndarray:
     """Best smooth envelope: exp(quartic polynomial) fit in the log domain.
 
-    Intensity-weighted, restricted to samples above 1e-12 of peak (and to
-    ``where`` if given); the family reproduces every fringe-free pattern this
+    Intensity-weighted over the samples selected by the boolean mask
+    ``fitted`` (callers keep only samples above 1e-12 of ``peak``, the
+    maximum of ys); the family reproduces every fringe-free pattern this
     toolkit emits (Gaussian-cosh hump sums and displaced single humps) to
     rounding, while oscillations are left in the residual.  Returned on the
     full grid, capped at e*peak so an extrapolated tail cannot blow up.
     """
-    peak = float(ys.max())
-    mask = ys > peak * 1e-12
-    if where is not None:
-        mask &= where
-    x = xs[mask]
-    y = np.log(ys[mask])
+    x = xs[fitted]
+    w = ys[fitted]
     center = x.mean()
     scale = x.std() or 1.0
-    coeffs = np.polynomial.polynomial.polyfit((x - center) / scale, y, 4, w=ys[mask])
-    fit = np.polynomial.polynomial.polyval((xs - center) / scale, coeffs)
-    return np.exp(np.minimum(fit, math.log(peak) + 1.0))
+    x -= center
+    x /= scale
+    coeffs = _quartic_fit(x, np.log(w), w)
+    u = np.subtract(xs, center)
+    u /= scale
+    fit = _horner(coeffs, u)
+    np.minimum(fit, math.log(peak) + 1.0, out=fit)
+    return np.exp(fit, out=fit)
 
 
 def oscillatory_residual(pattern: PatternSamples) -> float:
@@ -208,11 +277,14 @@ def oscillatory_residual(pattern: PatternSamples) -> float:
     peak = float(ys.max())
     if peak <= 0.0:
         return 0.0
-    envelope = _fitted_envelope(pattern.grid.xs(), ys)
-    return float(np.max(np.abs(ys - envelope)[ys > peak * 1e-12])) / peak
+    fitted = ys > peak * 1e-12
+    deviation = _fitted_envelope(pattern.grid.xs(), ys, peak, fitted)
+    np.subtract(ys, deviation, out=deviation)
+    np.abs(deviation, out=deviation)
+    return float(np.max(deviation[fitted])) / peak
 
 
-def _demodulate(xs: np.ndarray, ys: np.ndarray):
+def _demodulate(grid: ScreenGrid, ys: np.ndarray):
     """Locate the fringe lobe in the spectrum and return (k, contrast).
 
     Returns None when no interior spectral peak stands above the envelope
@@ -222,21 +294,32 @@ def _demodulate(xs: np.ndarray, ys: np.ndarray):
     tip it), the peak is refined with a 3-point quadratic fit on the residual
     log-magnitudes (exact for the Gaussian lobes produced here), and the
     contrast is 2 |sum r e^{-ikx}| / sum I with trapezoid weights.
+
+    Real grid-sized work goes through two scratch arrays, a and b, instead
+    of a temporary per operation, with every value computed exactly as the
+    one-expression-per-line form would.  Complex arithmetic keeps that form:
+    NumPy may pick a different complex-multiply loop for an in-place
+    operand, and with it different last bits.
     """
-    n = len(xs)
-    h = xs[1] - xs[0]
-    wts = np.full(n, h)
-    wts[0] = wts[-1] = 0.5 * h
-    total = float(np.sum(wts * ys))
+    xs = grid.xs()
+    wts = grid._weights
+    a = np.multiply(wts, ys)
+    total = float(np.sum(a))
     if total <= 0.0:
         return None
-    mean = float(np.sum(wts * xs * ys)) / total
-    var = float(np.sum(wts * (xs - mean) ** 2 * ys)) / total
+    np.multiply(wts, xs, out=a)
+    a *= ys
+    mean = float(np.sum(a)) / total
+    b = np.subtract(xs, mean)
+    np.square(b, out=a)
+    a *= wts
+    a *= ys
+    var = float(np.sum(a)) / total
     if var <= 0.0:
         return None
     cutoff = 3.2 / math.sqrt(var)
     spectrum = np.abs(np.fft.rfft(ys))
-    ks = 2.0 * math.pi * np.fft.rfftfreq(n, d=h)
+    ks = grid._wavenumbers
     start = max(int(np.searchsorted(ks, cutoff)), 1)
     if start >= len(spectrum) - 1:
         return None
@@ -257,11 +340,23 @@ def _demodulate(xs: np.ndarray, ys: np.ndarray):
     # otherwise bias the contrast upward at small overlap where the duality
     # bound is saturated.
     sigma = math.sqrt(var)
-    offset = np.abs(xs - mean)
-    envelope = _fitted_envelope(xs, ys, where=offset <= 5.5 * sigma)
-    ramp = np.clip((5.5 * sigma - offset) / sigma, 0.0, 1.0)
-    taper = ramp**3 * (ramp * (6.0 * ramp - 15.0) + 10.0)
-    resid = (ys - envelope) * taper
+    offset = np.abs(b, out=b)
+    peak = float(ys.max())
+    fitted = ys > peak * 1e-12
+    fitted &= offset <= 5.5 * sigma
+    resid = _fitted_envelope(xs, ys, peak, fitted)
+    np.subtract(ys, resid, out=resid)
+    # ramp = clip((5.5 sigma - offset) / sigma, 0, 1), in b;
+    # taper = ramp**3 * (ramp * (6 ramp - 15) + 10), in a
+    ramp = np.subtract(5.5 * sigma, offset, out=b)
+    ramp /= sigma
+    np.clip(ramp, 0.0, 1.0, out=ramp)
+    np.multiply(ramp, 6.0, out=a)
+    a -= 15.0
+    a *= ramp
+    a += 10.0
+    a *= np.power(ramp, 3, out=ramp)
+    resid *= a
     # refine the peak on the residual spectrum: its lobe is symmetric, so the
     # 3-point quadratic fit in log-magnitude is exact up to rounding
     clean = np.abs(np.fft.rfft(resid))
@@ -275,7 +370,8 @@ def _demodulate(xs: np.ndarray, ys: np.ndarray):
             denom = lm - 2.0 * l0 + lp
             if denom != 0.0:
                 khat += 0.5 * (ks[1] - ks[0]) * (lm - lp) / denom
-    component = np.sum(wts * resid * np.exp(-1j * khat * xs))
+    resid *= wts
+    component = np.sum(resid * np.exp(-1j * khat * xs))
     return khat, 2.0 * abs(component) / total
 
 
@@ -291,7 +387,7 @@ def numeric_visibility(pattern: PatternSamples) -> float:
         return 0.0
     if oscillatory_residual(pattern) < FLATNESS_RTOL:
         return 0.0
-    demod = _demodulate(pattern.grid.xs(), ys)
+    demod = _demodulate(pattern.grid, ys)
     if demod is None:
         return 0.0
     return float(min(max(demod[1], 0.0), 1.0))

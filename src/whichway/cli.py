@@ -23,10 +23,11 @@ from .packets import Geometry
 from .pattern import (
     JointState,
     ScreenGrid,
+    _check_fringe_resolution,
+    _clamp_and_normalize,
     closed_form_parts,
     conditional_patterns,
     default_grid,
-    fringe_width,
 )
 from .qubit import (
     bloch_sphere_lattice,
@@ -95,6 +96,9 @@ def _write_output(text: str, path: str | None):
         try:
             with fh:
                 fh.write(text)
+            if os.path.exists(target):
+                # the replacement keeps the old file's permission bits
+                os.chmod(tmp, os.stat(target).st_mode & 0o7777)
             os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
@@ -122,7 +126,10 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    # ValueError covers malformed JSON, bytes that are not UTF-8 and integer
+    # literals past Python's digit limit; RecursionError, arrays or objects
+    # nested past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
 
 
@@ -187,11 +194,6 @@ def _resolve_output(cfg_fmt, cfg_path, args, default_fmt: str) -> tuple[str, str
     return fmt, path
 
 
-def _check_finite(name: str, arr: np.ndarray):
-    if not np.all(np.isfinite(arr)):
-        raise NumericFailure(f"non-finite values in the {name} column")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -201,25 +203,18 @@ def _cmd_pattern(args) -> int:
     pair = make_detector_pair(cfg.overlap, cfg.phase)
     js = JointState(cfg.geometry, pair)
     grid = _resolve_grid(cfg)
-    if cfg.overlap > 0.0 and grid.spacing() > fringe_width(cfg.geometry) / 8.0:
-        raise ValidationError("grid spacing cannot resolve the fringes (need <= w/8)")
+    if pair.overlap_mag > 0.0:
+        _check_fringe_resolution(grid, cfg.geometry)
     xs = grid.xs()
     envelope, interference = closed_form_parts(xs, js)
-    intensity = envelope + interference
-    for name, arr in (("intensity", intensity), ("envelope", envelope),
-                      ("interference_term", interference)):
-        _check_finite(name, arr)
-    if intensity.min() < -1e-15:
-        raise NumericFailure(f"intensity {intensity.min()!r} below the clamp floor")
-    intensity = np.where(intensity < 0.0, 0.0, intensity)
-    total = float(np.trapezoid(intensity, xs))
-    if not (math.isfinite(total) and total > 0.0):
-        raise NumericFailure(f"pattern integral {total!r} is not a positive number")
+    intensity, envelope, interference, _ = _clamp_and_normalize(
+        xs, [envelope + interference], scaled_too=(envelope, interference)
+    )
     columns = {
         "x_m": xs,
-        "intensity": intensity / total,
-        "envelope": envelope / total,
-        "interference_term": interference / total,
+        "intensity": intensity,
+        "envelope": envelope,
+        "interference_term": interference,
     }
     fmt, path = _resolve_output(cfg.out_format, cfg.out_path, args, "csv")
     _write_output(_emit_csv(columns) if fmt == "csv" else _emit_json(columns), path)
@@ -244,10 +239,15 @@ def _config_for_sweep(base: RunConfig, param: str, value: float) -> tuple[Geomet
 def _cmd_scan_duality(args) -> int:
     base, param, values = load_sweep_config(args.config)
     overlaps, reports = [], []
+    grid = last_geometry = None
     for value in values:
         geometry, overlap, phase = _config_for_sweep(base, param, value)
         pair = make_detector_pair(overlap, phase)
-        grid = base.grid if base.grid is not None else default_grid(geometry)
+        if geometry != last_geometry:
+            # one grid per run of equal geometries: it keeps the positions
+            # and evolved packets that every value of the run shares
+            grid = base.grid if base.grid is not None else default_grid(geometry)
+            last_geometry = geometry
         overlaps.append(pair.overlap_mag)
         reports.append(duality_report(geometry, pair, grid))
     columns = {"s": overlaps}

@@ -14,12 +14,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 
-from . import _backend
+from . import _kernels
+from ._kernels import BranchPackets
 from .errors import NumericFailure, ValidationError
-from .packets import Geometry, effective_tau
+from .packets import Geometry, effective_tau, evolved_amplitude
 from .qubit import DetectorPair, MeasurementBasis, inner_product
 
 #: Values in [CLAMP_FLOOR, 0) are rounding residue and are clamped to 0;
@@ -31,7 +33,12 @@ _SQRT_HALF = math.sqrt(0.5)
 
 @dataclass(frozen=True)
 class ScreenGrid:
-    """Uniform grid of screen positions (meters)."""
+    """Uniform grid of screen positions (meters).
+
+    The positions, their quadrature weights and wavenumbers, and the packets
+    of the direct route are computed on first use and kept with the grid, so
+    every direct pattern and estimate on one grid object shares them.
+    """
 
     x_min: float
     x_max: float
@@ -47,10 +54,47 @@ class ScreenGrid:
         object.__setattr__(self, "n_points", int(self.n_points))
 
     def xs(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_points)
+        """The positions, read-only."""
+        return self._xs
+
+    @cached_property
+    def _xs(self) -> np.ndarray:
+        return _read_only(np.linspace(self.x_min, self.x_max, self.n_points))
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        """Trapezoid-rule weights: sum(weights * f) integrates f."""
+        xs = self.xs()
+        h = xs[1] - xs[0]
+        wts = np.full(self.n_points, h)
+        wts[0] = wts[-1] = 0.5 * h
+        return _read_only(wts)
+
+    @cached_property
+    def _wavenumbers(self) -> np.ndarray:
+        """Angular wavenumbers of the np.fft.rfft bins of samples on this grid."""
+        xs = self.xs()
+        return _read_only(2.0 * math.pi * np.fft.rfftfreq(self.n_points, d=xs[1] - xs[0]))
 
     def spacing(self) -> float:
         return (self.x_max - self.x_min) / (self.n_points - 1)
+
+    def _packets(self, geom: Geometry) -> BranchPackets:
+        """Both branch packets of ``geom`` evolved onto this grid.
+
+        The packets of the last geometry asked for are kept, so patterns for
+        many detector states on one geometry evolve them once.
+        """
+        kept = self.__dict__.get("_kept_packets")
+        if kept is None or kept[0] != geom:
+            kept = (geom, _evolve(self.xs(), geom))
+            object.__setattr__(self, "_kept_packets", kept)
+        return kept[1]
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -133,18 +177,26 @@ def intensity_direct(x, js: JointState):
     """Screen intensity via the four-term amplitude expansion.
 
     sum_ij conj(a_i) a_j <d_i|d_j> conj(g_i) g_j over the two branches, each
-    g the evolved complex packet.  Works for any path amplitudes.
+    g the evolved complex packet.  Works for any path amplitudes.  x is a
+    position, an array of them, or a ScreenGrid: the grid keeps the packets
+    of the last geometry it was given, so calls for many detector states on
+    one grid and geometry evolve them once.
     """
     geom = js.geom
-    tau = effective_tau(geom)
     ip = inner_product(js.pair.d1, js.pair.d2)
     a1, a2 = js.path_amps
+    if isinstance(x, ScreenGrid):
+        return _kernels.direct_grid(x._packets(geom), a1, a2, ip)
     return _eval_checked(
         x,
-        lambda xs: _backend.direct_grid(
-            xs, geom.slit_sep, geom.packet_width, tau, a1, a2, ip
-        ),
+        lambda xs: _kernels.direct_grid(_evolve(xs, geom), a1, a2, ip),
     )
+
+
+def _evolve(xs: np.ndarray, geom: Geometry) -> BranchPackets:
+    eps, tau = geom.packet_width, effective_tau(geom)
+    return BranchPackets(evolved_amplitude(xs, +0.5 * geom.slit_sep, eps, tau),
+                         evolved_amplitude(xs, -0.5 * geom.slit_sep, eps, tau))
 
 
 def intensity_closed_form(x, js: JointState):
@@ -158,7 +210,7 @@ def intensity_closed_form(x, js: JointState):
     tau = effective_tau(geom)
     return _eval_checked(
         x,
-        lambda xs: _backend.closed_grid(
+        lambda xs: _kernels.closed_grid(
             xs, geom.slit_sep, geom.packet_width, tau,
             js.pair.overlap_mag, js.pair.overlap_phase,
         ),
@@ -175,7 +227,7 @@ def closed_form_parts(x, js: JointState):
     geom = js.geom
     tau = effective_tau(geom)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    env, intf = _backend.closed_parts_grid(
+    env, intf = _kernels.closed_parts_grid(
         xs, geom.slit_sep, geom.packet_width, tau,
         js.pair.overlap_mag, js.pair.overlap_phase,
     )
@@ -192,6 +244,7 @@ def _require_equal_amps(js: JointState):
 
 
 def _check_fringe_resolution(grid: ScreenGrid, geom: Geometry):
+    """Refuse grids too coarse to resolve the fringes (spacing > fringe width / 8)."""
     w = fringe_width(geom)
     if grid.spacing() > w / 8.0:
         raise ValidationError(
@@ -200,20 +253,31 @@ def _check_fringe_resolution(grid: ScreenGrid, geom: Geometry):
         )
 
 
-def _clamp_and_normalize(raw: np.ndarray, xs: np.ndarray):
-    if not np.all(np.isfinite(raw)):
-        raise NumericFailure("non-finite intensity values on the grid")
-    low = raw.min()
-    if low < CLAMP_FLOOR:
-        raise NumericFailure(
-            f"intensity {low!r} below the clamp floor {CLAMP_FLOOR}; "
-            "this is a bug, not rounding"
-        )
-    clamped = np.where(raw < 0.0, 0.0, raw)
-    total = float(np.trapezoid(clamped, xs))
+def _clamp_and_normalize(xs: np.ndarray, branches, scaled_too=()):
+    """Clamp rounding residue and normalize to unit integral.
+
+    Each branch is an unnormalized intensity on xs.  Values in
+    [CLAMP_FLOOR, 0) are set to 0; non-finite values or anything below the
+    floor raise NumericFailure.  Every branch, and every array in scaled_too
+    (unclamped columns that share the normalization and are finite wherever
+    the branches are), is divided by the trapezoid integral of the branches'
+    sum.  Returns the divided arrays in order, then that integral.
+    """
+    clamped = []
+    for raw in branches:
+        if not np.all(np.isfinite(raw)):
+            raise NumericFailure("non-finite intensity values on the grid")
+        low = raw.min()
+        if low < CLAMP_FLOOR:
+            raise NumericFailure(
+                f"intensity {low!r} below the clamp floor {CLAMP_FLOOR}; "
+                "this is a bug, not rounding"
+            )
+        clamped.append(np.where(raw < 0.0, 0.0, raw))
+    total = float(np.trapezoid(reduce(np.add, clamped), xs))
     if not (math.isfinite(total) and total > 0.0):
         raise NumericFailure(f"pattern integral {total!r} is not a positive number")
-    return clamped / total, total
+    return (*(arr / total for arr in (*clamped, *scaled_too)), total)
 
 
 def pattern_on_grid(grid: ScreenGrid, js: JointState, mode: str = "direct") -> PatternSamples:
@@ -230,10 +294,10 @@ def pattern_on_grid(grid: ScreenGrid, js: JointState, mode: str = "direct") -> P
         _check_fringe_resolution(grid, js.geom)
     xs = grid.xs()
     if mode == "direct":
-        raw = intensity_direct(xs, js)
+        raw = intensity_direct(grid, js)
     else:
         raw = intensity_closed_form(xs, js)
-    intensity, total = _clamp_and_normalize(np.asarray(raw), xs)
+    intensity, total = _clamp_and_normalize(xs, [raw])
     return PatternSamples(grid=grid, intensity=intensity, norm_constant=total, provenance=mode)
 
 
@@ -245,34 +309,24 @@ def conditional_patterns(grid: ScreenGrid, js: JointState, basis: MeasurementBas
     pattern pointwise and each branch integrates to its outcome weight.
     """
     _check_fringe_resolution(grid, js.geom)
-    geom = js.geom
-    tau = effective_tau(geom)
     a1, a2 = js.path_amps
     b_d1 = inner_product(basis.b1, js.pair.d1)
     b_d2 = inner_product(basis.b1, js.pair.d2)
     p_d1 = inner_product(basis.b2, js.pair.d1)
     p_d2 = inner_product(basis.b2, js.pair.d2)
     xs = grid.xs()
-    raw_b, raw_p = _backend.conditional_grid(
-        xs, geom.slit_sep, geom.packet_width, tau, a1, a2, b_d1, b_d2, p_d1, p_d2
+    # Fresh packets, not the grid's kept ones.  Keeping them here was
+    # measured on the 2^18-point warm-kernels workload: it ran x1.6 faster
+    # but its peak RSS rose from 70 MB to 80 MB, which the benchmark's 10%
+    # bound on peak memory does not allow.
+    raw_b, raw_p = _kernels.conditional_grid(
+        _evolve(xs, js.geom), a1, a2, b_d1, b_d2, p_d1, p_d2
     )
-    raw_b = np.asarray(raw_b)
-    raw_p = np.asarray(raw_p)
-    for raw in (raw_b, raw_p):
-        if not np.all(np.isfinite(raw)):
-            raise NumericFailure("non-finite intensity values in a conditioned branch")
-        if raw.min() < CLAMP_FLOOR:
-            raise NumericFailure("conditioned intensity below the clamp floor")
-    raw_b = np.where(raw_b < 0.0, 0.0, raw_b)
-    raw_p = np.where(raw_p < 0.0, 0.0, raw_p)
-    total = float(np.trapezoid(raw_b + raw_p, xs))
-    if not (math.isfinite(total) and total > 0.0):
-        raise NumericFailure(f"eraser pattern integral {total!r} is not a positive number")
-    i_b = PatternSamples(grid, raw_b / total, total, "conditional")
-    i_p = PatternSamples(grid, raw_p / total, total, "conditional")
-    i_sum = PatternSamples(grid, i_b.intensity + i_p.intensity, total, "conditional")
-    weights = (
-        float(np.trapezoid(i_b.intensity, xs)),
-        float(np.trapezoid(i_p.intensity, xs)),
+    i_b, i_p, total = _clamp_and_normalize(xs, [raw_b, raw_p])
+    weights = (float(np.trapezoid(i_b, xs)), float(np.trapezoid(i_p, xs)))
+    return EraserResult(
+        i_b=PatternSamples(grid, i_b, total, "conditional"),
+        i_b_perp=PatternSamples(grid, i_p, total, "conditional"),
+        i_sum=PatternSamples(grid, i_b + i_p, total, "conditional"),
+        branch_weights=weights,
     )
-    return EraserResult(i_b=i_b, i_b_perp=i_p, i_sum=i_sum, branch_weights=weights)

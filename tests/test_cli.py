@@ -105,6 +105,21 @@ class TestPattern:
     def test_missing_config_file(self, tmp_path):
         assert main(["pattern", "--config", str(tmp_path / "absent.json")]) == 1
 
+    @pytest.mark.parametrize("raw", [
+        # not UTF-8
+        b'{"detector": {"overlap": 0.5}, "note": "\xff"}',
+        # an integer literal past Python's 4300-digit conversion limit (if a
+        # Python without the limit parses it, the schema rejects the overlap)
+        b'{"detector": {"overlap": 1' + b"0" * 5000 + b"}}",
+        # arrays nested past the recursion limit
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["not-utf8", "huge-int", "deep-nesting"])
+    def test_undecodable_config_is_config_error(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(raw)
+        assert main(["pattern", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_numeric_failure_exit_code(self, tmp_path):
         # cosh overflow against gaussian underflow -> NaN in the envelope column
         cfg = write_config(
@@ -407,6 +422,15 @@ class TestWriteOutput:
         monkeypatch.setattr(cli.os, "replace", forbidden)
         cli._write_output("x_m\n1\n", os.devnull)
         assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+
+    def test_replaced_file_keeps_its_permission_bits(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "p.csv"
+        out.write_text("old\n")
+        out.chmod(0o600)
+        assert main(["pattern", "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.stat().st_mode & 0o7777 == 0o600
+        assert out.read_text().startswith("x_m,")
 
     def test_unwritable_directory_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path)
