@@ -9,29 +9,71 @@ over detector states can evolve them once and combine them per state.
 """
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-
-_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True, eq=False)
 class BranchPackets:
-    """Both evolved packets on one grid.
+    """What the screen intensity needs of both evolved packets on one grid.
 
-    g1 is centered at +slit_sep/2 (the branch tied to detector state d1),
-    g2 at -slit_sep/2.
+    mod1 = |g1|^2, mod2 = |g2|^2, and cross_re, cross_im the real and
+    imaginary parts of conj(g1) g2; g1 is centered at +slit_sep/2 (the branch
+    tied to detector state d1), g2 at -slit_sep/2.  All four arrays are
+    read-only.
     """
 
-    g1: np.ndarray
-    g2: np.ndarray
+    mod1: np.ndarray
+    mod2: np.ndarray
+    cross_re: np.ndarray
+    cross_im: np.ndarray
 
-    @cached_property
-    def moduli(self) -> tuple[np.ndarray, np.ndarray]:
-        """|g1|^2 and |g2|^2."""
-        g1, g2 = self.g1, self.g2
-        return g1.real**2 + g1.imag**2, g2.real**2 + g2.imag**2
+
+def branch_packets(xs, centers, prefactor: complex, beta: complex) -> BranchPackets:
+    """The packets g_j = prefactor exp(-(x - c_j)^2 / beta), in real arithmetic.
+
+    With q = 1/beta and u_j = (x - c_j)^2:
+    |g_j|^2 = |prefactor|^2 exp(-2 Re(q) u_j) and
+    conj(g1) g2 = |prefactor|^2 exp(-Re(q) (u1 + u2)) exp(i Im(q) (u1 - u2)).
+    The phase takes u1 - u2 as (c2 - c1) (2x - c1 - c2), which does not
+    cancel far from the slits.  At most five grid-sized arrays are alive at
+    once.
+    """
+    c1, c2 = centers
+    q = 1.0 / beta
+    amp2 = abs(prefactor) ** 2
+    phase = np.multiply(xs, 2.0)
+    phase -= c1 + c2
+    phase *= q.imag * (c2 - c1)
+    u1 = np.subtract(xs, c1)
+    u1 *= u1
+    u2 = np.subtract(xs, c2)
+    u2 *= u2
+    for u in (u1, u2):  # u_j becomes exp(-Re(q) u_j)
+        u *= -q.real
+        np.exp(u, out=u)
+    cross_re = np.cos(phase)
+    cross_im = np.sin(phase, out=phase)
+    mag = u1 * u2
+    mag *= amp2
+    cross_re *= mag
+    cross_im *= mag
+    for e in (u1, u2):  # exp(-Re(q) u_j) becomes |g_j|^2
+        e *= e
+        e *= amp2
+    for arr in (u1, u2, cross_re, cross_im):
+        arr.flags.writeable = False
+    return BranchPackets(u1, u2, cross_re, cross_im)
+
+
+def combine(packets: BranchPackets, w1: float, w2: float, c: complex):
+    """2 (w1 |g1|^2 + w2 |g2|^2 + 2 Re(c conj(g1) g2)) as a fresh array."""
+    out = w1 * packets.mod1
+    out += w2 * packets.mod2
+    out += (2.0 * c.real) * packets.cross_re
+    out -= (2.0 * c.imag) * packets.cross_im
+    out *= 2.0
+    return out
 
 
 def direct_grid(packets: BranchPackets, a1, a2, ip):
@@ -40,14 +82,7 @@ def direct_grid(packets: BranchPackets, a1, a2, ip):
     ip is the detector overlap <d1|d2>; a1, a2 are the (complex, normalized)
     path amplitudes.
     """
-    mod1, mod2 = packets.moduli
-    cross = np.conj(a1) * a2 * ip * np.conj(packets.g1) * packets.g2
-    # 2 (|a1|^2 mod1 + |a2|^2 mod2 + 2 Re cross), summed in one array
-    out = abs(a1) ** 2 * mod1
-    out += abs(a2) ** 2 * mod2
-    out += 2.0 * cross.real
-    out *= 2.0
-    return out
+    return combine(packets, abs(a1) ** 2, abs(a2) ** 2, a1.conjugate() * a2 * ip)
 
 
 def closed_grid(xs, slit_sep, eps, tau, s, theta):
@@ -79,7 +114,8 @@ def conditional_grid(packets: BranchPackets, a1, a2, b_d1, b_d2, p_d1, p_d2):
     partner.  Returns the two branch intensities; their sum equals
     direct_grid for the same state.
     """
-    g1, g2 = packets.g1, packets.g2
-    u = _SQRT2 * (b_d1 * a1 * g1 + b_d2 * a2 * g2)
-    v = _SQRT2 * (p_d1 * a1 * g1 + p_d2 * a2 * g2)
-    return u.real**2 + u.imag**2, v.real**2 + v.imag**2
+    def outcome(k1, k2):
+        # |sqrt2 (k1 g1 + k2 g2)|^2 with k_j = <basis state|d_j> a_j
+        return combine(packets, abs(k1) ** 2, abs(k2) ** 2, k1.conjugate() * k2)
+
+    return outcome(b_d1 * a1, b_d2 * a2), outcome(p_d1 * a1, p_d2 * a2)

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 
@@ -188,6 +189,15 @@ def _resolve_grid(cfg: RunConfig) -> ScreenGrid:
     return cfg.grid if cfg.grid is not None else default_grid(cfg.geometry)
 
 
+@contextmanager
+def _sized(what: str):
+    """Name ``what`` in the MemoryError raised when it does not fit in memory."""
+    try:
+        yield
+    except MemoryError:
+        raise MemoryError(f"{what} does not fit in memory") from None
+
+
 def _resolve_output(cfg_fmt, cfg_path, args, default_fmt: str) -> tuple[str, str | None]:
     fmt = args.format or cfg_fmt or default_fmt
     path = args.out or cfg_path
@@ -205,19 +215,20 @@ def _cmd_pattern(args) -> int:
     grid = _resolve_grid(cfg)
     if pair.overlap_mag > 0.0:
         _check_fringe_resolution(grid, cfg.geometry)
-    xs = grid.xs()
-    envelope, interference = closed_form_parts(xs, js)
-    intensity, envelope, interference, _ = _clamp_and_normalize(
-        xs, [envelope + interference], scaled_too=(envelope, interference)
-    )
-    columns = {
-        "x_m": xs,
-        "intensity": intensity,
-        "envelope": envelope,
-        "interference_term": interference,
-    }
-    fmt, path = _resolve_output(cfg.out_format, cfg.out_path, args, "csv")
-    _write_output(_emit_csv(columns) if fmt == "csv" else _emit_json(columns), path)
+    with _sized(f"a grid of {grid.n_points} points"):
+        xs = grid.xs()
+        envelope, interference = closed_form_parts(xs, js)
+        intensity, envelope, interference, _ = _clamp_and_normalize(
+            xs, [envelope + interference], scaled_too=(envelope, interference)
+        )
+        columns = {
+            "x_m": xs,
+            "intensity": intensity,
+            "envelope": envelope,
+            "interference_term": interference,
+        }
+        fmt, path = _resolve_output(cfg.out_format, cfg.out_path, args, "csv")
+        _write_output(_emit_csv(columns) if fmt == "csv" else _emit_json(columns), path)
     return 0
 
 
@@ -249,7 +260,8 @@ def _cmd_scan_duality(args) -> int:
             grid = base.grid if base.grid is not None else default_grid(geometry)
             last_geometry = geometry
         overlaps.append(pair.overlap_mag)
-        reports.append(duality_report(geometry, pair, grid))
+        with _sized(f"a grid of {grid.n_points} points"):
+            reports.append(duality_report(geometry, pair, grid))
     columns = {"s": overlaps}
     for name in ("D", "V_bound", "V_numeric", "dP2", "dQ2", "lhs", "rhs_unc",
                  "egy_ok", "unc_ok"):
@@ -266,22 +278,25 @@ def _cmd_eraser(args) -> int:
     pair = make_detector_pair(cfg.overlap, cfg.phase)
     js = JointState(cfg.geometry, pair)
     basis = rotated_basis(cfg.basis_angle)
-    er = conditional_patterns(_resolve_grid(cfg), js, basis)
-    columns = {
-        "x_m": er.i_b.grid.xs(),
-        "i_q1": er.i_b.intensity,
-        "i_q2": er.i_b_perp.intensity,
-        "i_sum": er.i_sum.intensity,
-    }
-    fmt, path = _resolve_output(cfg.out_format, cfg.out_path, args, "csv")
-    _write_output(_emit_csv(columns) if fmt == "csv" else _emit_json(columns), path)
+    grid = _resolve_grid(cfg)
+    with _sized(f"a grid of {grid.n_points} points"):
+        er = conditional_patterns(grid, js, basis)
+        columns = {
+            "x_m": grid.xs(),
+            "i_q1": er.i_b.intensity,
+            "i_q2": er.i_b_perp.intensity,
+            "i_sum": er.i_sum.intensity,
+        }
+        fmt, path = _resolve_output(cfg.out_format, cfg.out_path, args, "csv")
+        _write_output(_emit_csv(columns) if fmt == "csv" else _emit_json(columns), path)
     return 0
 
 
 def _cmd_uncertainty_scan(args) -> int:
     if args.samples < 1:
         raise ValidationError(f"samples must be >= 1, got {args.samples}")
-    lattice = bloch_sphere_lattice(args.samples)
+    with _sized(f"a lattice of {args.samples} points"):
+        lattice = bloch_sphere_lattice(args.samples)
     variances = []
     min_sum = math.inf
     for n1, n2, n3 in lattice:
@@ -366,6 +381,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValidationError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # the grid or lattice the config asks for is too large
+        print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

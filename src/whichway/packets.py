@@ -76,21 +76,31 @@ def initial_amplitude(x, center: float, eps: float):
     return out if out.ndim else float(out)
 
 
-def evolved_amplitude(x, center: float, eps: float, tau: float):
-    """Complex amplitude of the packet after accumulating evolution ``tau``.
+def evolution_constants(eps: float, tau: float) -> tuple[complex, complex]:
+    """(A_t, beta) of the evolved packet A_t exp(-(x-center)^2 / beta).
 
-    A_t exp(-(x-center)^2 / (4 eps^2 + 2 i tau)) with
+    beta = 4 eps^2 + 2 i tau and
     A_t = (1/sqrt2) [sqrt(2 pi) (eps + i tau / 2 eps)]^(-1/2), principal
-    branch.  At tau = 0 the modulus reduces to :func:`initial_amplitude`.
-    Negative tau is allowed (it yields the complex conjugate, a time-reversal
-    check); accepts scalars or arrays.
+    branch.
     """
     eps = _require_positive("eps", eps)
     if not math.isfinite(tau):
         raise ValidationError(f"tau must be finite, got {tau!r}")
-    x = np.asarray(x, dtype=float)
     prefactor = 1.0 / math.sqrt(2.0) / np.sqrt(math.sqrt(2.0 * math.pi) * (eps + 0.5j * tau / eps))
-    out = prefactor * np.exp(-((x - center) ** 2) / (4.0 * eps * eps + 2.0j * tau))
+    return complex(prefactor), 4.0 * eps * eps + 2.0j * tau
+
+
+def evolved_amplitude(x, center: float, eps: float, tau: float):
+    """Complex amplitude of the packet after accumulating evolution ``tau``.
+
+    A_t exp(-(x-center)^2 / beta) with A_t and beta from
+    :func:`evolution_constants`.  At tau = 0 the modulus reduces to
+    :func:`initial_amplitude`.  Negative tau is allowed (it yields the
+    complex conjugate, a time-reversal check); accepts scalars or arrays.
+    """
+    prefactor, beta = evolution_constants(eps, tau)
+    x = np.asarray(x, dtype=float)
+    out = prefactor * np.exp(-((x - center) ** 2) / beta)
     return out if out.ndim else complex(out)
 
 

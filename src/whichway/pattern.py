@@ -1,10 +1,10 @@
 """Joint particle-detector state at the screen and its intensity patterns.
 
 Two independent routes compute the same physics: ``intensity_direct`` expands
-the squared norm of the superposed complex branch amplitudes with the
-detector inner products, while ``intensity_closed_form`` evaluates the
-Gaussian-cosh/cosine closed form.  They must agree to ~1e-10 relative on any
-grid, which the test suite enforces; keep them independent.
+the squared norm of the superposed branch packets with the detector inner
+products, while ``intensity_closed_form`` evaluates the Gaussian-cosh/cosine
+closed form.  They must agree to ~1e-10 relative on any grid, which the test
+suite enforces; keep them independent.
 
 ``conditional_patterns`` projects the detector side onto a measurement basis
 before squaring, producing the eraser's conditioned fringe/antifringe pair.
@@ -21,7 +21,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import BranchPackets
 from .errors import NumericFailure, ValidationError
-from .packets import Geometry, effective_tau, evolved_amplitude
+from .packets import Geometry, effective_tau, evolution_constants
 from .qubit import DetectorPair, MeasurementBasis, inner_product
 
 #: Values in [CLAMP_FLOOR, 0) are rounding residue and are clamped to 0;
@@ -36,8 +36,9 @@ class ScreenGrid:
     """Uniform grid of screen positions (meters).
 
     The positions, their quadrature weights and wavenumbers, and the packets
-    of the direct route are computed on first use and kept with the grid, so
-    every direct pattern and estimate on one grid object shares them.
+    of the direct and conditional routes are computed on first use and kept
+    with the grid, so every direct pattern, eraser pattern and estimate on
+    one grid object shares them.
     """
 
     x_min: float
@@ -177,10 +178,11 @@ def intensity_direct(x, js: JointState):
     """Screen intensity via the four-term amplitude expansion.
 
     sum_ij conj(a_i) a_j <d_i|d_j> conj(g_i) g_j over the two branches, each
-    g the evolved complex packet.  Works for any path amplitudes.  x is a
-    position, an array of them, or a ScreenGrid: the grid keeps the packets
-    of the last geometry it was given, so calls for many detector states on
-    one grid and geometry evolve them once.
+    g the evolved packet, taken from |g1|^2, |g2|^2 and conj(g1) g2 in real
+    arithmetic.  Works for any path amplitudes.  x is a position, an array of
+    them, or a ScreenGrid: the grid keeps the packets of the last geometry it
+    was given, so calls for many detector states on one grid and geometry
+    evolve them once.
     """
     geom = js.geom
     ip = inner_product(js.pair.d1, js.pair.d2)
@@ -194,9 +196,9 @@ def intensity_direct(x, js: JointState):
 
 
 def _evolve(xs: np.ndarray, geom: Geometry) -> BranchPackets:
-    eps, tau = geom.packet_width, effective_tau(geom)
-    return BranchPackets(evolved_amplitude(xs, +0.5 * geom.slit_sep, eps, tau),
-                         evolved_amplitude(xs, -0.5 * geom.slit_sep, eps, tau))
+    prefactor, beta = evolution_constants(geom.packet_width, effective_tau(geom))
+    centers = (+0.5 * geom.slit_sep, -0.5 * geom.slit_sep)
+    return _kernels.branch_packets(xs, centers, prefactor, beta)
 
 
 def intensity_closed_form(x, js: JointState):
@@ -254,16 +256,16 @@ def _check_fringe_resolution(grid: ScreenGrid, geom: Geometry):
 
 
 def _clamp_and_normalize(xs: np.ndarray, branches, scaled_too=()):
-    """Clamp rounding residue and normalize to unit integral.
+    """Clamp rounding residue and normalize to unit integral, in place.
 
     Each branch is an unnormalized intensity on xs.  Values in
     [CLAMP_FLOOR, 0) are set to 0; non-finite values or anything below the
     floor raise NumericFailure.  Every branch, and every array in scaled_too
     (unclamped columns that share the normalization and are finite wherever
     the branches are), is divided by the trapezoid integral of the branches'
-    sum.  Returns the divided arrays in order, then that integral.
+    sum.  All of them are changed in place, so callers pass arrays of their
+    own.  Returns them in order, then that integral.
     """
-    clamped = []
     for raw in branches:
         if not np.all(np.isfinite(raw)):
             raise NumericFailure("non-finite intensity values on the grid")
@@ -273,11 +275,13 @@ def _clamp_and_normalize(xs: np.ndarray, branches, scaled_too=()):
                 f"intensity {low!r} below the clamp floor {CLAMP_FLOOR}; "
                 "this is a bug, not rounding"
             )
-        clamped.append(np.where(raw < 0.0, 0.0, raw))
-    total = float(np.trapezoid(reduce(np.add, clamped), xs))
+        raw[raw < 0.0] = 0.0
+    total = float(np.trapezoid(reduce(np.add, branches), xs))
     if not (math.isfinite(total) and total > 0.0):
         raise NumericFailure(f"pattern integral {total!r} is not a positive number")
-    return (*(arr / total for arr in (*clamped, *scaled_too)), total)
+    for arr in (*branches, *scaled_too):
+        arr /= total
+    return (*branches, *scaled_too, total)
 
 
 def pattern_on_grid(grid: ScreenGrid, js: JointState, mode: str = "direct") -> PatternSamples:
@@ -315,12 +319,8 @@ def conditional_patterns(grid: ScreenGrid, js: JointState, basis: MeasurementBas
     p_d1 = inner_product(basis.b2, js.pair.d1)
     p_d2 = inner_product(basis.b2, js.pair.d2)
     xs = grid.xs()
-    # Fresh packets, not the grid's kept ones.  Keeping them here was
-    # measured on the 2^18-point warm-kernels workload: it ran x1.6 faster
-    # but its peak RSS rose from 70 MB to 80 MB, which the benchmark's 10%
-    # bound on peak memory does not allow.
     raw_b, raw_p = _kernels.conditional_grid(
-        _evolve(xs, js.geom), a1, a2, b_d1, b_d2, p_d1, p_d2
+        grid._packets(js.geom), a1, a2, b_d1, b_d2, p_d1, p_d2
     )
     i_b, i_p, total = _clamp_and_normalize(xs, [raw_b, raw_p])
     weights = (float(np.trapezoid(i_b, xs)), float(np.trapezoid(i_p, xs)))

@@ -376,6 +376,49 @@ class TestEntryPoints:
         assert main(["pattern"]) == 1
 
 
+def _no_memory(*args, **kwargs):
+    raise MemoryError
+
+
+class TestOutOfMemory:
+    """Running out of memory is a one-line config error, exit 1, no output.
+
+    The allocation is made to fail; no test asks for a really huge grid."""
+
+    GRID = {"x_min": -0.025, "x_max": 0.025, "n_points": 8193}
+
+    @pytest.mark.parametrize("command, allocation", [
+        ("pattern", "whichway._kernels.closed_parts_grid"),
+        ("eraser", "whichway._kernels.combine"),
+        ("scan-duality", "whichway._kernels.branch_packets"),
+    ])
+    def test_grid_that_does_not_fit_names_its_size(self, tmp_path, monkeypatch, capsys,
+                                                   command, allocation):
+        cfg = write_config(tmp_path, grid=self.GRID, eraser={"enabled": True})
+        if command == "scan-duality":
+            base = {"geometry": STANDARD_GEOMETRY, "detector": {"overlap": 1.0},
+                    "grid": self.GRID}
+            cfg.write_text(json.dumps({"base": base, "sweep_param": "overlap",
+                                       "values": [0.5]}))
+        monkeypatch.setattr(allocation, _no_memory)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err \
+            == "config error: a grid of 8193 points does not fit in memory\n"
+        assert not out.exists()
+
+    def test_lattice_that_does_not_fit_names_its_size(self, monkeypatch, capsys):
+        monkeypatch.setattr("whichway.cli.bloch_sphere_lattice", _no_memory)
+        assert main(["uncertainty-scan", "--samples", "77"]) == 1
+        assert capsys.readouterr().err \
+            == "config error: a lattice of 77 points does not fit in memory\n"
+
+    def test_other_allocations_are_config_errors(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("whichway.cli.bohr_analysis", _no_memory)
+        assert main(["bohr", "--config", str(write_config(tmp_path))]) == 1
+        assert capsys.readouterr().err == "config error: out of memory\n"
+
+
 class TestWriteOutput:
     @pytest.mark.parametrize("existing", [None, "old contents\n"])
     def test_failed_write_leaves_old_file_or_none(self, tmp_path, existing):

@@ -6,6 +6,18 @@ layout) together with the numerics, so an unintended change to either shows
 up here.  A different libm or NumPy SIMD path can move the last bit of a
 transcendental; if only that changes, re-record on the new stack after
 checking the outputs agree to 1e-15 relative.
+
+The eight ``eraser.*`` and ``duality-*.*`` digests were re-recorded when the
+direct and conditional routes moved from complex packet amplitudes to real
+arithmetic (|g1|^2, |g2|^2 and conj(g1) g2 kept per geometry and grid).  The
+old outputs were off by the rounding of complex exponentials with phases of
+several thousand rad: against a 50-digit evaluation of the same four-term
+expansion, the eraser geometry's direct intensities were off by up to 5e-13
+of the peak before and 1e-15 after.  Old against new, on these configs: the
+eraser columns differ by at most 1.4e-11 absolute (6.6e-13 of the peak
+intensity), V_numeric by at most 4.8e-15 and lhs by 9.6e-15; s, D, V_bound,
+dP2, dQ2 and the egy_ok/unc_ok flags are identical.  The pattern, bohr and
+uncertainty digests did not change.
 """
 import hashlib
 import json
@@ -47,14 +59,14 @@ CASES = {
 DIGESTS = {
     "bohr.csv": "185013d73d3c85d2c8555b6c61f48b58b35444580768de68b52f2d223dd4bd6e",
     "bohr.json": "fb58f08669d71e30f4933fc475297c08e8108b1b8f6fdbd5ce5d06d66487e0ba",
-    "duality-overlap.csv": "7d219990511ff1ad32d0b318cfd23a488ab4324eb12fd859b7f9b37e0bf1a3cc",
-    "duality-overlap.json": "ee7001c358057cf4504ecb8b1ccfd7a9d04bedea4dc89f62c99a028b420a5d59",
-    "duality-phase.csv": "53c4d8b20cfe1f67b83355c739dd7585f6006ed51609feec7803f073cefa7b4a",
-    "duality-phase.json": "64ada3543e6935356ece52b4be905be3b6684f94b42da99f7d7633b5a9121aa4",
-    "duality-screen.csv": "bee117fb893175e5d4bde3dee866b891ce299c7ed4a7e43e253b07ce2e3a1afd",
-    "duality-screen.json": "a2b0fe54e1bd3be1e1857bd26561d1af6da909ce208c2fe1f70f3dc8c5d0b081",
-    "eraser.csv": "bd5c23e9fbbd1be5bd5b1261060e99dd39faa7aab6cdf74798bfeb1fe769873d",
-    "eraser.json": "c26ccc2d4e2526fb3152ceaaace4cc2d609c76eb6cccc067e63646e50d1a4fbd",
+    "duality-overlap.csv": "4af167f81919e94a7ed2bcfd498d909f08221f24de26e20efa5a90f315262ab0",
+    "duality-overlap.json": "3ac2f23d2fc1ffdc50e8816141afa1cd7ef45e6aee1b37e1e27aa46ddaf4b880",
+    "duality-phase.csv": "fe9428011e3519ed89789c9a98c0e054ac671d8667d7153479afb350052b3625",
+    "duality-phase.json": "6b10e7ddc4cd71312a4298688eaf14fb5d9469fde06022150d2be83d78a74f85",
+    "duality-screen.csv": "9875291266690a01cd33f2ba9eb9deb17844209bd95a32edaf54375c108b80a9",
+    "duality-screen.json": "7738b34d1944d688dbbc374459130cf26f1f7e8d8d5cddbcd6c3c1f52198cac5",
+    "eraser.csv": "574dc195a9b8dd1b814637fc515158c256ef5ee92132fa859cb226f4fb5be8f7",
+    "eraser.json": "2f802f7c80a3d1b540659a781a5988d628646d771f1037ac811da69c5b332290",
     "pattern.csv": "1a9defe3d1e5a7c97ad79c840827ecc9ac23e3b03319742107b88a791852838f",
     "pattern.json": "af236442cf8a0a3891d6c41ded91acd53fe87019e69ff0623f6cb5cab9840b84",
     "uncertainty.csv": "a9ac3c1992e1589e6a1168729163d039f959d9207c958177ec265038e0a6327e",
