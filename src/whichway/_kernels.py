@@ -85,12 +85,6 @@ def direct_grid(packets: BranchPackets, a1, a2, ip):
     return combine(packets, abs(a1) ** 2, abs(a2) ** 2, a1.conjugate() * a2 * ip)
 
 
-def closed_grid(xs, slit_sep, eps, tau, s, theta):
-    """Closed-form screen intensity for equal path amplitudes."""
-    envelope, interference = closed_parts_grid(xs, slit_sep, eps, tau, s, theta)
-    return envelope + interference
-
-
 def closed_parts_grid(xs, slit_sep, eps, tau, s, theta):
     """(envelope, interference) decomposition of the closed-form intensity.
 

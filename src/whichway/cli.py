@@ -7,28 +7,28 @@ with 17 significant digits; run chatter goes to stderr).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 
 import numpy as np
 
 from ._schema import schema_error
-from .analysis import bohr_analysis, duality_report
+from .analysis import DualityReport, bohr_analysis, duality_report
 from .errors import NumericFailure, ValidationError
 from .packets import Geometry
 from .pattern import (
     JointState,
     ScreenGrid,
-    _check_fringe_resolution,
-    _clamp_and_normalize,
     closed_form_parts,
     conditional_patterns,
     default_grid,
+    pattern_on_grid,
 )
 from .qubit import (
     bloch_sphere_lattice,
@@ -123,10 +123,18 @@ class RunConfig:
     out_path: str | None
 
 
+def _int_in_float_range(text: str) -> int:
+    value = int(text)
+    float(value)  # every config number is used as a float: OverflowError past its range
+    return value
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_int_in_float_range)
+    except OverflowError as exc:
+        raise ValidationError(f"config {path} has an integer too large for a float") from exc
     # ValueError covers malformed JSON, bytes that are not UTF-8 and integer
     # literals past Python's digit limit; RecursionError, arrays or objects
     # nested past the recursion limit
@@ -185,10 +193,6 @@ def load_sweep_config(path: str) -> tuple[RunConfig, str, list[float]]:
     return base, param, values
 
 
-def _resolve_grid(cfg: RunConfig) -> ScreenGrid:
-    return cfg.grid if cfg.grid is not None else default_grid(cfg.geometry)
-
-
 @contextmanager
 def _sized(what: str):
     """Name ``what`` in the MemoryError raised when it does not fit in memory."""
@@ -198,139 +202,87 @@ def _sized(what: str):
         raise MemoryError(f"{what} does not fit in memory") from None
 
 
-def _resolve_output(cfg_fmt, cfg_path, args, default_fmt: str) -> tuple[str, str | None]:
-    fmt = args.format or cfg_fmt or default_fmt
-    path = args.out or cfg_path
-    return fmt, path
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its config (None without one) and its columns
 # ---------------------------------------------------------------------------
 
-def _cmd_pattern(args) -> int:
+def _cmd_pattern(args) -> tuple[RunConfig, dict]:
     cfg = load_run_config(args.config)
-    pair = make_detector_pair(cfg.overlap, cfg.phase)
-    js = JointState(cfg.geometry, pair)
-    grid = _resolve_grid(cfg)
-    if pair.overlap_mag > 0.0:
-        _check_fringe_resolution(grid, cfg.geometry)
+    js = JointState(cfg.geometry, make_detector_pair(cfg.overlap, cfg.phase))
+    grid = cfg.grid or default_grid(cfg.geometry)
     with _sized(f"a grid of {grid.n_points} points"):
-        xs = grid.xs()
-        envelope, interference = closed_form_parts(xs, js)
-        intensity, envelope, interference, _ = _clamp_and_normalize(
-            xs, [envelope + interference], scaled_too=(envelope, interference)
-        )
-        columns = {
-            "x_m": xs,
-            "intensity": intensity,
-            "envelope": envelope,
-            "interference_term": interference,
-        }
-        fmt, path = _resolve_output(cfg.out_format, cfg.out_path, args, "csv")
-        _write_output(_emit_csv(columns) if fmt == "csv" else _emit_json(columns), path)
-    return 0
+        samples = pattern_on_grid(grid, js, mode="closed_form")
+        envelope, interference = closed_form_parts(grid.xs(), js)
+        envelope /= samples.norm_constant
+        interference /= samples.norm_constant
+    return cfg, {
+        "x_m": grid.xs(),
+        "intensity": samples.intensity,
+        "envelope": envelope,
+        "interference_term": interference,
+    }
 
 
-def _config_for_sweep(base: RunConfig, param: str, value: float) -> tuple[Geometry, float, float]:
-    geometry, overlap, phase = base.geometry, base.overlap, base.phase
-    if param == "overlap":
-        overlap = value
-    elif param == "phase":
-        phase = value
-    elif param == "packet_width":
-        geometry = Geometry(geometry.wavelength, geometry.slit_sep,
-                            geometry.screen_dist, value)
-    elif param == "screen_dist":
-        geometry = Geometry(geometry.wavelength, geometry.slit_sep,
-                            value, geometry.packet_width)
-    return geometry, overlap, phase
-
-
-def _cmd_scan_duality(args) -> int:
+def _cmd_scan_duality(args) -> tuple[RunConfig, dict]:
     base, param, values = load_sweep_config(args.config)
     overlaps, reports = [], []
     grid = last_geometry = None
     for value in values:
-        geometry, overlap, phase = _config_for_sweep(base, param, value)
-        pair = make_detector_pair(overlap, phase)
-        if geometry != last_geometry:
+        if param in ("overlap", "phase"):
+            run = replace(base, **{param: value})
+        else:
+            run = replace(base, geometry=replace(base.geometry, **{param: value}))
+        pair = make_detector_pair(run.overlap, run.phase)
+        if run.geometry != last_geometry:
             # one grid per run of equal geometries: it keeps the positions
             # and evolved packets that every value of the run shares
-            grid = base.grid if base.grid is not None else default_grid(geometry)
-            last_geometry = geometry
+            grid = base.grid or default_grid(run.geometry)
+            last_geometry = run.geometry
         overlaps.append(pair.overlap_mag)
         with _sized(f"a grid of {grid.n_points} points"):
-            reports.append(duality_report(geometry, pair, grid))
+            reports.append(duality_report(run.geometry, pair, grid))
     columns = {"s": overlaps}
-    for name in ("D", "V_bound", "V_numeric", "dP2", "dQ2", "lhs", "rhs_unc",
-                 "egy_ok", "unc_ok"):
-        columns[name] = [getattr(rep, name) for rep in reports]
-    fmt, path = _resolve_output(base.out_format, base.out_path, args, "csv")
-    _write_output(_emit_csv(columns) if fmt == "csv" else _emit_json(columns), path)
-    return 0
+    for field in fields(DualityReport):
+        columns[field.name] = [getattr(rep, field.name) for rep in reports]
+    return base, columns
 
 
-def _cmd_eraser(args) -> int:
+def _cmd_eraser(args) -> tuple[RunConfig, dict]:
     cfg = load_run_config(args.config)
     if not cfg.eraser_enabled:
         raise ValidationError("eraser subcommand requires eraser.enabled = true in the config")
-    pair = make_detector_pair(cfg.overlap, cfg.phase)
-    js = JointState(cfg.geometry, pair)
+    js = JointState(cfg.geometry, make_detector_pair(cfg.overlap, cfg.phase))
     basis = rotated_basis(cfg.basis_angle)
-    grid = _resolve_grid(cfg)
+    grid = cfg.grid or default_grid(cfg.geometry)
     with _sized(f"a grid of {grid.n_points} points"):
         er = conditional_patterns(grid, js, basis)
-        columns = {
-            "x_m": grid.xs(),
-            "i_q1": er.i_b.intensity,
-            "i_q2": er.i_b_perp.intensity,
-            "i_sum": er.i_sum.intensity,
-        }
-        fmt, path = _resolve_output(cfg.out_format, cfg.out_path, args, "csv")
-        _write_output(_emit_csv(columns) if fmt == "csv" else _emit_json(columns), path)
-    return 0
+    return cfg, {
+        "x_m": grid.xs(),
+        "i_q1": er.i_b.intensity,
+        "i_q2": er.i_b_perp.intensity,
+        "i_sum": er.i_sum.intensity,
+    }
 
 
-def _cmd_uncertainty_scan(args) -> int:
+def _cmd_uncertainty_scan(args) -> tuple[None, dict]:
     if args.samples < 1:
         raise ValidationError(f"samples must be >= 1, got {args.samples}")
     with _sized(f"a lattice of {args.samples} points"):
         lattice = bloch_sphere_lattice(args.samples)
-    variances = []
-    min_sum = math.inf
-    for n1, n2, n3 in lattice:
-        state = state_from_bloch(n1, n2, n3)
-        dq2, dp2, total = sum_uncertainty(state)
-        min_sum = min(min_sum, total)
-        variances.append((dq2, dp2, total))
+    variances = [sum_uncertainty(state_from_bloch(n1, n2, n3)) for n1, n2, n3 in lattice]
     var_sigma2, var_sigma3, sums = np.array(variances).T
-    columns = {"n1": lattice[:, 0], "n2": lattice[:, 1], "n3": lattice[:, 2],
-               "var_sigma2": var_sigma2, "var_sigma3": var_sigma3, "sum": sums}
-    fmt, path = _resolve_output(None, None, args, "csv")
-    if fmt == "csv":
-        text = _emit_csv(columns) + f"min_sum,,,,,{_cells(min_sum)[0]}\n"
-    else:
-        text = _emit_json({**columns, "min_sum": min_sum})
-    _write_output(text, path)
-    return 0
+    return None, {"n1": lattice[:, 0], "n2": lattice[:, 1], "n3": lattice[:, 2],
+                  "var_sigma2": var_sigma2, "var_sigma3": var_sigma3, "sum": sums,
+                  "min_sum": sums.min()}
 
 
-def _cmd_bohr(args) -> int:
+def _cmd_bohr(args) -> tuple[RunConfig, dict]:
     cfg = load_run_config(args.config)
-    rep = bohr_analysis(cfg.geometry)
-    for name in ("delta_px", "delta_x", "fringe_sep", "ratio"):
-        if not math.isfinite(getattr(rep, name)):
+    columns = asdict(bohr_analysis(cfg.geometry))
+    for name, value in columns.items():
+        if not math.isfinite(value):
             raise NumericFailure(f"non-finite {name} in recoil report")
-    fmt, path = _resolve_output(cfg.out_format, cfg.out_path, args, "json")
-    payload = {
-        "delta_px": rep.delta_px,
-        "delta_x": rep.delta_x,
-        "fringe_sep": rep.fringe_sep,
-        "ratio": rep.ratio,
-    }
-    _write_output(_emit_json(payload) if fmt == "json" else _emit_csv(payload), path)
-    return 0
+    return cfg, columns
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +304,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--format", default=None, choices=["csv", "json"],
                        help="output format (default: csv; bohr defaults to json)")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, default_format="csv")
         return p
 
     add("pattern", "screen pattern with envelope/interference decomposition", _cmd_pattern)
@@ -363,7 +315,8 @@ def _build_parser() -> _Parser:
                _cmd_uncertainty_scan, needs_config=False)
     scan.add_argument("--samples", type=int, default=10000,
                       help="number of lattice points (default 10000)")
-    add("bohr", "recoil-argument report for the configured geometry", _cmd_bohr)
+    add("bohr", "recoil-argument report for the configured geometry",
+        _cmd_bohr).set_defaults(default_format="json")
     return parser
 
 
@@ -378,7 +331,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        cfg, columns = args.func(args)
+        # --format, then the config's output block, then the subcommand default
+        out_format, out_path = (cfg.out_format, cfg.out_path) if cfg else (None, None)
+        if (args.format or out_format or args.default_format) == "json":
+            text = _emit_json(columns)
+        else:
+            # uncertainty-scan's minimum is a trailer row, not a column
+            min_sum = columns.pop("min_sum", None)
+            text = _emit_csv(columns)
+            if min_sum is not None:
+                text += f"min_sum,,,,,{_cells(min_sum)[0]}\n"
+        _write_output(text, args.out or out_path)
+        return 0
     except (ValidationError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -391,6 +356,28 @@ def main(argv=None) -> int:
         return 2
 
 
+def _keep_freed_memory():
+    """Fix glibc's trim and mmap thresholds for this process.
+
+    Every scan-duality value allocates and frees about 1 MB of grid-sized
+    arrays, mostly inside NumPy's least-squares solve.  glibc's default
+    thresholds adapt to the allocation history, so whether that memory is
+    handed back to the OS and faulted in again on the next value depends on
+    heap layout; when it is, a cold sweep spends a fifth to a third of its
+    time in page faults.  Fixed thresholds keep it in the heap.  Other C
+    libraries are left as they are.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD: smaller blocks come from the heap
+    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD: free heap kept before trimming
+
+
 def run():
-    """Console-script entry point."""
+    """Console-script and ``python -m whichway`` entry point."""
+    _keep_freed_memory()
     raise SystemExit(main())

@@ -29,6 +29,8 @@ from .qubit import DetectorPair, MeasurementBasis, inner_product
 CLAMP_FLOOR = -1e-15
 
 _SQRT_HALF = math.sqrt(0.5)
+# the most float64 values one NumPy array can hold
+_MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,10 @@ class ScreenGrid:
             raise ValidationError("grid bounds must be finite")
         if not self.x_min < self.x_max:
             raise ValidationError(f"x_min must be below x_max, got [{self.x_min}, {self.x_max}]")
-        if int(self.n_points) != self.n_points or self.n_points < 2:
-            raise ValidationError(f"n_points must be an integer >= 2, got {self.n_points!r}")
+        if not 2 <= self.n_points <= _MAX_FLOATS or int(self.n_points) != self.n_points:
+            raise ValidationError(
+                f"n_points must be an integer from 2 to {_MAX_FLOATS}, got {self.n_points!r}"
+            )
         object.__setattr__(self, "n_points", int(self.n_points))
 
     def xs(self) -> np.ndarray:
@@ -212,10 +216,10 @@ def intensity_closed_form(x, js: JointState):
     tau = effective_tau(geom)
     return _eval_checked(
         x,
-        lambda xs: _kernels.closed_grid(
+        lambda xs: np.add(*_kernels.closed_parts_grid(
             xs, geom.slit_sep, geom.packet_width, tau,
             js.pair.overlap_mag, js.pair.overlap_phase,
-        ),
+        )),
     )
 
 
@@ -255,16 +259,15 @@ def _check_fringe_resolution(grid: ScreenGrid, geom: Geometry):
         )
 
 
-def _clamp_and_normalize(xs: np.ndarray, branches, scaled_too=()):
+def _clamp_and_normalize(xs: np.ndarray, branches):
     """Clamp rounding residue and normalize to unit integral, in place.
 
     Each branch is an unnormalized intensity on xs.  Values in
     [CLAMP_FLOOR, 0) are set to 0; non-finite values or anything below the
-    floor raise NumericFailure.  Every branch, and every array in scaled_too
-    (unclamped columns that share the normalization and are finite wherever
-    the branches are), is divided by the trapezoid integral of the branches'
-    sum.  All of them are changed in place, so callers pass arrays of their
-    own.  Returns them in order, then that integral.
+    floor raise NumericFailure.  Every branch is divided by the trapezoid
+    integral of the branches' sum.  The branches are changed in place, so
+    callers pass arrays of their own.  Returns them in order, then that
+    integral.
     """
     for raw in branches:
         if not np.all(np.isfinite(raw)):
@@ -279,9 +282,9 @@ def _clamp_and_normalize(xs: np.ndarray, branches, scaled_too=()):
     total = float(np.trapezoid(reduce(np.add, branches), xs))
     if not (math.isfinite(total) and total > 0.0):
         raise NumericFailure(f"pattern integral {total!r} is not a positive number")
-    for arr in (*branches, *scaled_too):
+    for arr in branches:
         arr /= total
-    return (*branches, *scaled_too, total)
+    return (*branches, total)
 
 
 def pattern_on_grid(grid: ScreenGrid, js: JointState, mode: str = "direct") -> PatternSamples:

@@ -227,8 +227,9 @@ def bloch_sphere_lattice(n: int) -> np.ndarray:
     eigenstates (the sum-uncertainty saturation points) are always included.
     Returns an (n, 3) array of unit vectors.
     """
-    if n < 1:
-        raise ValidationError(f"lattice needs at least one point, got {n}")
+    most = np.iinfo(np.intp).max // 24  # the (n, 3) float64 array must be addressable
+    if not 1 <= n <= most:
+        raise ValidationError(f"a lattice needs 1 to {most} points, got {n}")
     if n == 1:
         return np.array([[0.0, 0.0, 1.0]])
     i = np.arange(n, dtype=float)

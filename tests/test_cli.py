@@ -376,6 +376,115 @@ class TestEntryPoints:
         assert main(["pattern"]) == 1
 
 
+def _format_of(text):
+    if text.startswith("{"):
+        json.loads(text)
+        return "json"
+    return "csv"
+
+
+class TestOutputOrder:
+    """--format and --out first, then the config's output block, then the
+    subcommand's default format and stdout."""
+
+    def args(self, tmp_path, command, output=None):
+        if command == "uncertainty-scan":
+            return ["--samples", "5"]
+        run = {"geometry": dict(STANDARD_GEOMETRY), "detector": {"overlap": 0.5},
+               "eraser": {"enabled": True}}
+        if output is not None:
+            run["output"] = output
+        cfg = run
+        if command == "scan-duality":  # the sweep reads output from its base
+            cfg = {"base": run, "sweep_param": "overlap", "values": [0.5]}
+        else:
+            run["grid"] = {"x_min": -0.01, "x_max": 0.01, "n_points": 128}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        return ["--config", str(path)]
+
+    @pytest.mark.parametrize("command, default", [
+        ("pattern", "csv"), ("eraser", "csv"), ("bohr", "json"),
+        ("scan-duality", "csv"), ("uncertainty-scan", "csv"),
+    ])
+    def test_flag_then_config_then_default(self, tmp_path, capsys, command, default):
+        other = "json" if default == "csv" else "csv"
+        assert main([command, *self.args(tmp_path, command)]) == 0
+        by_default = capsys.readouterr().out
+        assert _format_of(by_default) == default
+        from_flags = tmp_path / "from_flags.out"
+        argv = [command, *self.args(tmp_path, command)]
+        if command != "uncertainty-scan":  # the one subcommand without a config
+            from_config = tmp_path / "from_config.out"
+            argv = [command, *self.args(tmp_path, command,
+                                        {"format": other, "path": str(from_config)})]
+            assert main(argv) == 0
+            assert capsys.readouterr().out == ""
+            assert _format_of(from_config.read_text()) == other
+            # a flag overrides one half of the output block and keeps the other
+            assert main([*argv, "--format", default]) == 0
+            assert from_config.read_text() == by_default
+            from_config.unlink()
+            assert main([*argv, "--out", str(from_flags)]) == 0
+            assert _format_of(from_flags.read_text()) == other
+            assert not from_config.exists()
+        assert main([*argv, "--format", other, "--out", str(from_flags)]) == 0
+        assert _format_of(from_flags.read_text()) == other
+        assert main([*argv, "--format", default, "--out", str(from_flags)]) == 0
+        assert from_flags.read_text() == by_default
+
+
+BIG = "1" + "0" * 399  # a 400-digit integer, past the float range
+
+
+class TestUnrepresentableNumbers:
+    """Numbers no float holds and sizes no array holds are one-line config
+    errors with exit 1; none of these runs allocates a large array."""
+
+    def config(self, tmp_path, command, where, value):
+        run = {"geometry": dict(STANDARD_GEOMETRY), "detector": {"overlap": 0.5, "phase": 0.0},
+               "grid": {"x_min": -0.01, "x_max": 0.01, "n_points": 128},
+               "eraser": {"enabled": True, "basis_angle": 0.0}}
+        cfg = run
+        if command == "scan-duality":
+            cfg = {"base": run, "sweep_param": "phase", "values": [0.0, 0.0]}
+        *parents, key = where
+        node = cfg
+        for name in parents:
+            node = node[name]
+        node[key] = "VALUE"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg).replace('"VALUE"', value))
+        return path
+
+    @pytest.mark.parametrize("command, where, value", [
+        ("pattern", ("detector", "phase"), BIG),
+        ("pattern", ("geometry", "lambda_d"), BIG),
+        ("pattern", ("geometry", "screen_dist"), BIG),
+        ("pattern", ("grid", "x_min"), "-" + BIG),
+        ("pattern", ("grid", "n_points"), BIG),
+        ("eraser", ("eraser", "basis_angle"), BIG),
+        ("scan-duality", ("values", 1), BIG),
+        ("pattern", ("grid", "n_points"), str(2**63)),
+        ("pattern", ("grid", "n_points"), str(10**20)),
+    ], ids=["phase", "lambda_d", "screen_dist", "x_min", "n_points", "basis_angle",
+            "sweep-value", "n_points-2**63", "n_points-10**20"])
+    def test_config_value(self, tmp_path, capsys, command, where, value):
+        cfg = self.config(tmp_path, command, where, value)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("samples", [2**63, 10**20])
+    def test_samples(self, capsys, samples):
+        assert main(["uncertainty-scan", "--samples", str(samples)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+
+
 def _no_memory(*args, **kwargs):
     raise MemoryError
 
