@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericFailure
+
 
 @dataclass(frozen=True, eq=False)
 class BranchPackets:
@@ -92,8 +94,11 @@ def closed_parts_grid(xs, slit_sep, eps, tau, s, theta):
     cosine cross term.  Their sum is the closed-form intensity.
     """
     xs = np.asarray(xs, dtype=float)
-    sig2 = eps * eps + (tau / (2.0 * eps)) ** 2
-    kap = slit_sep * tau / (4.0 * eps**4 + tau * tau)
+    try:
+        sig2 = eps * eps + (tau / (2.0 * eps)) ** 2
+        kap = slit_sep * tau / (4.0 * eps**4 + tau * tau)
+    except OverflowError:  # a float power past the float range raises
+        raise NumericFailure("the closed form's spread overflows for this geometry") from None
     pref = 1.0 / math.sqrt(2.0 * math.pi * sig2)
     gauss = pref * np.exp(-(xs * xs + 0.25 * slit_sep * slit_sep) / (2.0 * sig2))
     envelope = gauss * np.cosh(xs * slit_sep / (2.0 * sig2))

@@ -5,12 +5,14 @@ sees the geometry, so it stays an independent check on the analytic bounds.
 It first tests whether the pattern is fringe-free (a smooth-envelope fit per
 the log-domain polynomial family; residual below 1e-9 of peak means "no
 fringes", visibility 0) and otherwise demodulates the fringe component at the
-spectral peak, refined by a 3-point quadratic fit in k.  The estimator
-assumes the far-field overlap regime: the packet spread well beyond the slit
-separation AND several fringes under the envelope (slit separation at least
-~8 packet widths, so the fringe lobe clears the envelope's spectral lobe).
-Two resolved humps, or a single fringe filling the whole envelope, are
-outside its contract.
+spectral peak, refined by a 3-point quadratic fit in k.  The envelope is a
+weighted least-squares quartic in the log domain, solved through its 5x5
+normal equations; the demodulation sum is taken in real arithmetic.  The
+estimator assumes the far-field overlap regime: the packet spread well
+beyond the slit separation AND several fringes under the envelope (slit
+separation at least ~8 packet widths, so the fringe lobe clears the
+envelope's spectral lobe).  Two resolved humps, or a single fringe filling
+the whole envelope, are outside its contract.
 
 Extrema positions (plateau-aware scan plus 3-point parabolic refinement) are
 exposed separately for fringe-spacing measurements and eraser checks.
@@ -182,57 +184,75 @@ def fringe_spacing(pattern: PatternSamples, kind: str = "maxima",
 
 
 class _FitRows(threading.local):
-    """Each thread's buffer for the quartic fit's Vandermonde rows.
+    """Each thread's buffer for the quartic fit's weighted rows.
 
-    A fresh (5, n) array per fit can be handed back to the OS when freed
+    A fresh grid-sized array per fit can be handed back to the OS when freed
     and faulted in again by the next fit, which on the default 8192-point
     grid can cost more time than the fit's arithmetic.  The buffer's
     contents never carry from one fit to the next.
     """
 
-    rows = np.empty((5, 0))
+    rows = np.empty((6, 0))
 
     def take(self, n: int) -> np.ndarray:
         if self.rows.shape[1] < n:
-            self.rows = np.empty((5, n))
+            self.rows = np.empty((6, n))
         return self.rows[:, :n]
 
 
 _fit_rows = _FitRows()
 
+# entry (i, j) of the normal matrix is the moment of order i + j
+_HANKEL = np.add.outer(np.arange(5), np.arange(5))
+
 
 def _quartic_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Weighted least-squares quartic coefficients, lowest degree first.
 
-    Bit for bit what ``np.polynomial.polynomial.polyfit(x, y, 4, w=w)``
-    returns, by the same steps: the Vandermonde rows scaled by the weights
-    and then by their norms, solved by the same LAPACK call.  The rows are
-    built and scaled in place in one (5, n) buffer instead of a fresh array
-    per step.
+    The problem ``np.polynomial.polynomial.polyfit(x, y, 4, w=w)`` solves,
+    taken through its 5x5 normal equations instead of an SVD of the n x 5
+    matrix.
+    The weighted rows w x^i and the weighted values w y are built in one
+    kept buffer; nine dot products give the moments sum w^2 x^k (k = 0..8),
+    whose Hankel matrix is the normal matrix, and five more its right side.
+    Scaled to a unit diagonal (polyfit's column scaling), the system is
+    solved by eigendecomposition.  Forming the moments rounds each scaled
+    entry by up to about n eps, so eigenvalues at or below 10 n eps of the
+    largest cannot be told from 0 and are dropped: the samples then hold
+    fewer than five independent rows and, as from polyfit, the minimum-norm
+    solution comes with a RankWarning.  The normal equations square the
+    condition number; one refinement step, the same solve applied to the
+    weighted residual, wins back the digits that costs.
     """
     n = len(x)
-    lhs = _fit_rows.take(n)
-    # polyfit adds 0.0 to its inputs (turning -0.0 into 0.0); so do we
-    x = np.add(x, 0.0, out=lhs[1])
-    np.multiply(x, 0, out=lhs[0])
-    lhs[0] += 1
-    for i in (2, 3, 4):
+    rows = _fit_rows.take(n)
+    lhs, rhs = rows[:5], rows[5]
+    np.copyto(lhs[0], w)
+    for i in range(1, 5):
         np.multiply(lhs[i - 1], x, out=lhs[i])
-    w = w + 0.0
-    lhs *= w
-    rhs = y + 0.0
-    rhs *= w
-    scl = np.empty(5)
-    for i, row in enumerate(lhs):
-        scl[i] = np.square(row, out=w).sum()  # w is spent; reuse it
-    np.sqrt(scl, out=scl)
+    np.multiply(w, y, out=rhs)
+    moments = np.empty(9)
+    moments[:5] = lhs @ lhs[0]
+    moments[5:] = lhs[1:] @ lhs[4]
+    scl = np.sqrt(moments[::2])
     scl[scl == 0] = 1
-    lhs /= scl[:, None]
-    coeffs, _, rank, _ = np.linalg.lstsq(lhs.T, rhs, n * np.finfo(float).eps)
-    if rank != 5:
+    normal = moments[_HANKEL]
+    normal /= np.multiply.outer(scl, scl)
+    lam, vec = np.linalg.eigh(normal)
+    kept = lam > 10 * n * np.finfo(float).eps * lam[-1]
+    if not kept.all():
         warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning,
                       stacklevel=2)
-    return coeffs / scl
+    vec = vec[:, kept] / scl[:, None]
+    lam = lam[kept]
+
+    def solve(target):
+        return vec @ ((lhs @ target) @ vec / lam)
+
+    coeffs = solve(rhs)
+    rhs -= coeffs @ lhs
+    coeffs += solve(rhs)
+    return coeffs
 
 
 def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -293,13 +313,11 @@ def _demodulate(grid: ScreenGrid, ys: np.ndarray):
     bound is exactly saturated at small overlap, where even a 1e-5 leak would
     tip it), the peak is refined with a 3-point quadratic fit on the residual
     log-magnitudes (exact for the Gaussian lobes produced here), and the
-    contrast is 2 |sum r e^{-ikx}| / sum I with trapezoid weights.
+    contrast is 2 |sum r e^{-ikx}| / sum I with trapezoid weights, the
+    modulus taken from the two real sums of r cos(kx) and r sin(kx).
 
-    Real grid-sized work goes through two scratch arrays, a and b, instead
-    of a temporary per operation, with every value computed exactly as the
-    one-expression-per-line form would.  Complex arithmetic keeps that form:
-    NumPy may pick a different complex-multiply loop for an in-place
-    operand, and with it different last bits.
+    Grid-sized work goes through two scratch arrays, a and b, instead of a
+    temporary per operation.
     """
     xs = grid.xs()
     wts = grid._weights
@@ -371,8 +389,10 @@ def _demodulate(grid: ScreenGrid, ys: np.ndarray):
             if denom != 0.0:
                 khat += 0.5 * (ks[1] - ks[0]) * (lm - lp) / denom
     resid *= wts
-    component = np.sum(resid * np.exp(-1j * khat * xs))
-    return khat, 2.0 * abs(component) / total
+    np.multiply(xs, khat, out=a)
+    np.cos(a, out=b)
+    np.sin(a, out=a)
+    return khat, 2.0 * math.hypot(resid @ b, resid @ a) / total
 
 
 def numeric_visibility(pattern: PatternSamples) -> float:

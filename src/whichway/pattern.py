@@ -57,6 +57,12 @@ class ScreenGrid:
                 f"n_points must be an integer from 2 to {_MAX_FLOATS}, got {self.n_points!r}"
             )
         object.__setattr__(self, "n_points", int(self.n_points))
+        # a subnormal spacing has lost its precision, and the trapezoid
+        # integral over such a grid is too small to normalize by
+        if not np.finfo(float).smallest_normal <= self.spacing() < math.inf:
+            raise ValidationError(
+                f"grid spacing {self.spacing()!r} m is not a normal float"
+            )
 
     def xs(self) -> np.ndarray:
         """The positions, read-only."""
@@ -259,15 +265,15 @@ def _check_fringe_resolution(grid: ScreenGrid, geom: Geometry):
         )
 
 
-def _clamp_and_normalize(xs: np.ndarray, branches):
+def _clamp_and_normalize(weights: np.ndarray, branches):
     """Clamp rounding residue and normalize to unit integral, in place.
 
-    Each branch is an unnormalized intensity on xs.  Values in
-    [CLAMP_FLOOR, 0) are set to 0; non-finite values or anything below the
-    floor raise NumericFailure.  Every branch is divided by the trapezoid
-    integral of the branches' sum.  The branches are changed in place, so
-    callers pass arrays of their own.  Returns them in order, then that
-    integral.
+    Each branch is an unnormalized intensity on the grid whose trapezoid
+    weights are ``weights``.  Values in [CLAMP_FLOOR, 0) are set to 0;
+    non-finite values or anything below the floor raise NumericFailure.
+    Every branch is divided by the trapezoid integral of the branches' sum.
+    The branches are changed in place, so callers pass arrays of their own.
+    Returns them in order, then that integral.
     """
     for raw in branches:
         if not np.all(np.isfinite(raw)):
@@ -279,7 +285,7 @@ def _clamp_and_normalize(xs: np.ndarray, branches):
                 "this is a bug, not rounding"
             )
         raw[raw < 0.0] = 0.0
-    total = float(np.trapezoid(reduce(np.add, branches), xs))
+    total = float(weights @ reduce(np.add, branches))
     if not (math.isfinite(total) and total > 0.0):
         raise NumericFailure(f"pattern integral {total!r} is not a positive number")
     for arr in branches:
@@ -299,12 +305,11 @@ def pattern_on_grid(grid: ScreenGrid, js: JointState, mode: str = "direct") -> P
         raise ValidationError(f"mode must be 'direct' or 'closed_form', got {mode!r}")
     if js.pair.overlap_mag > 0.0:
         _check_fringe_resolution(grid, js.geom)
-    xs = grid.xs()
     if mode == "direct":
         raw = intensity_direct(grid, js)
     else:
-        raw = intensity_closed_form(xs, js)
-    intensity, total = _clamp_and_normalize(xs, [raw])
+        raw = intensity_closed_form(grid.xs(), js)
+    intensity, total = _clamp_and_normalize(grid._weights, [raw])
     return PatternSamples(grid=grid, intensity=intensity, norm_constant=total, provenance=mode)
 
 
@@ -321,12 +326,12 @@ def conditional_patterns(grid: ScreenGrid, js: JointState, basis: MeasurementBas
     b_d2 = inner_product(basis.b1, js.pair.d2)
     p_d1 = inner_product(basis.b2, js.pair.d1)
     p_d2 = inner_product(basis.b2, js.pair.d2)
-    xs = grid.xs()
     raw_b, raw_p = _kernels.conditional_grid(
         grid._packets(js.geom), a1, a2, b_d1, b_d2, p_d1, p_d2
     )
-    i_b, i_p, total = _clamp_and_normalize(xs, [raw_b, raw_p])
-    weights = (float(np.trapezoid(i_b, xs)), float(np.trapezoid(i_p, xs)))
+    wts = grid._weights
+    i_b, i_p, total = _clamp_and_normalize(wts, [raw_b, raw_p])
+    weights = (float(wts @ i_b), float(wts @ i_p))
     return EraserResult(
         i_b=PatternSamples(grid, i_b, total, "conditional"),
         i_b_perp=PatternSamples(grid, i_p, total, "conditional"),

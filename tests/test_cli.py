@@ -134,6 +134,25 @@ class TestPattern:
             assert main(["pattern", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_overflowing_geometry_is_numeric_failure(self, tmp_path, capsys):
+        # the closed form's spread squares a float past the float range
+        cfg = write_config(tmp_path, geometry=dict(STANDARD_GEOMETRY, lambda_d=1e300))
+        out = tmp_path / "out.csv"
+        assert main(["pattern", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pattern", "eraser"])
+    def test_subnormal_grid_spacing_is_config_error(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, grid={"x_min": 0.0, "x_max": 1e-320, "n_points": 64},
+                           eraser={"enabled": True})
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_coarse_grid_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, grid={"x_min": -0.025, "x_max": 0.025, "n_points": 64})
         assert main(["pattern", "--config", str(cfg)]) == 1

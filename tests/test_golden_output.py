@@ -18,6 +18,22 @@ eraser columns differ by at most 1.4e-11 absolute (6.6e-13 of the peak
 intensity), V_numeric by at most 4.8e-15 and lhs by 9.6e-15; s, D, V_bound,
 dP2, dQ2 and the egy_ok/unc_ok flags are identical.  The pattern, bohr and
 uncertainty digests did not change.
+
+The ten ``pattern.*``, ``eraser.*`` and ``duality-*.*`` digests were
+re-recorded again when normalization moved from ``np.trapezoid`` to the
+grid's kept trapezoid weights, and the visibility estimator's envelope fit
+from an SVD least-squares solve to 5x5 normal equations with its
+demodulation sum in real arithmetic.  ``np.trapezoid`` takes the spacing
+from ``np.diff`` of the positions, which varies in its last bits; the kept
+weights use one spacing.  The normalization constant moved by 1.8e-13
+relative on the pattern config and 2.3e-13 on the eraser config.  Old
+against new: intensity, envelope and interference_term differ by at most
+2.8e-11, 1.8e-11 and 1.1e-11 absolute (1.8e-13 of each column's peak);
+i_q1, i_q2 and i_sum by at most 4.8e-12 absolute (2.3e-13 of the peak);
+V_numeric by at most 3.3e-16 and lhs by 6.7e-16; x_m, s, D, V_bound, dP2,
+dQ2, rhs_unc and the egy_ok/unc_ok flags are identical.  Under
+``np.trapezoid`` the new intensity and i_sum columns integrate to 1 within
+2.3e-13.
 """
 import hashlib
 import json
@@ -59,16 +75,16 @@ CASES = {
 DIGESTS = {
     "bohr.csv": "185013d73d3c85d2c8555b6c61f48b58b35444580768de68b52f2d223dd4bd6e",
     "bohr.json": "fb58f08669d71e30f4933fc475297c08e8108b1b8f6fdbd5ce5d06d66487e0ba",
-    "duality-overlap.csv": "4af167f81919e94a7ed2bcfd498d909f08221f24de26e20efa5a90f315262ab0",
-    "duality-overlap.json": "3ac2f23d2fc1ffdc50e8816141afa1cd7ef45e6aee1b37e1e27aa46ddaf4b880",
-    "duality-phase.csv": "fe9428011e3519ed89789c9a98c0e054ac671d8667d7153479afb350052b3625",
-    "duality-phase.json": "6b10e7ddc4cd71312a4298688eaf14fb5d9469fde06022150d2be83d78a74f85",
-    "duality-screen.csv": "9875291266690a01cd33f2ba9eb9deb17844209bd95a32edaf54375c108b80a9",
-    "duality-screen.json": "7738b34d1944d688dbbc374459130cf26f1f7e8d8d5cddbcd6c3c1f52198cac5",
-    "eraser.csv": "574dc195a9b8dd1b814637fc515158c256ef5ee92132fa859cb226f4fb5be8f7",
-    "eraser.json": "2f802f7c80a3d1b540659a781a5988d628646d771f1037ac811da69c5b332290",
-    "pattern.csv": "1a9defe3d1e5a7c97ad79c840827ecc9ac23e3b03319742107b88a791852838f",
-    "pattern.json": "af236442cf8a0a3891d6c41ded91acd53fe87019e69ff0623f6cb5cab9840b84",
+    "duality-overlap.csv": "8a0f5bce36b1cb0a1ae5d926b54afd3f04a30708aebfb457830a39516e3d21e9",
+    "duality-overlap.json": "7452ed95fee16f1fd5403078465e0bea3ce1cf3cc88929cac1c2f378d11e116f",
+    "duality-phase.csv": "adab1a3a0ac0cf5ad4867105c260e3c8d38e10b8d800525aa5d7932c1695e931",
+    "duality-phase.json": "c3cbc21720463dfa4a3d2f5597a43a079ea5e5e55bf94cb1392a8be34ded1a05",
+    "duality-screen.csv": "e14b70e1d09c995af6099839a880d38312a41a0fe8b48afc3d7cc6372b8ad4d6",
+    "duality-screen.json": "5db8c9b308758f5828897c79c1804474bca2acc019daa5ba7e6e2abd6c2e2ad7",
+    "eraser.csv": "14094a85d528e20e393cd7ec01375fb9c7e94c03018d54d3ff389480609afd7d",
+    "eraser.json": "2d23a2e08a7d031096a81ff7c482cc5160c6043f6e943d6226068115b5363707",
+    "pattern.csv": "683d4189e4c258b854e8f1a164c1ef3f6668c7ef3d4b669ee095ebfdaa2a5003",
+    "pattern.json": "23e4bd2ae2be27205603ea8417a8b040797862abd09f64282c26b483928733ab",
     "uncertainty.csv": "a9ac3c1992e1589e6a1168729163d039f959d9207c958177ec265038e0a6327e",
     "uncertainty.json": "afd828ce4cfcfb0a1506846073449dcc84cd7b950190f595b43a3d27f0330a25",
 }

@@ -1,9 +1,12 @@
 """The scan-duality pipeline shares work across sweep values without
-changing a bit: its rows equal per-value duality reports, and the in-package
-envelope fit equals NumPy's polyfit/polyval."""
+changing a bit: its rows equal per-value duality reports.  The in-package
+envelope fit agrees with NumPy's polyfit, and its polynomial evaluation
+equals polyval bit for bit."""
 import json
 import math
+import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +20,8 @@ from whichway import (  # noqa: E402
     Geometry, JointState, ScreenGrid, conditional_patterns, default_grid, duality_report,
     make_detector_pair, pattern_on_grid, rotated_basis,
 )
-from whichway.analysis import _horner, _quartic_fit  # noqa: E402
+from whichway import analysis  # noqa: E402
+from whichway.analysis import _horner, _quartic_fit, numeric_visibility  # noqa: E402
 from whichway.cli import main  # noqa: E402
 
 P = np.polynomial.polynomial
@@ -31,34 +35,63 @@ def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
-def _outcome(fn, *args, **kwargs):
-    """(value, exception type, warning categories) of one call."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            value, error = fn(*args, **kwargs), None
-        except np.linalg.LinAlgError as exc:
-            value, error = None, type(exc)
-    return value, error, [w.category for w in caught]
-
-
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
-samples = st.integers(1, 300).flatmap(lambda n: st.tuples(
-    arrays(np.float64, n, elements=finite),
-    arrays(np.float64, n, elements=finite),
-    arrays(np.float64, n, elements=st.floats(0.0, 1e3)),
-))
+
+
+@st.composite
+def spread_samples(draw):
+    """Samples whose quartic fit is well conditioned: abscissae spread over
+    an interval no farther from 0 than its own width, weights within a
+    factor 100 of each other."""
+    n = draw(st.integers(8, 600))
+    scale = draw(st.floats(1e-3, 1e3))
+    offset = draw(st.floats(-1.0, 1.0))
+    jitter = draw(arrays(np.float64, n, elements=st.floats(-0.4, 0.4)))
+    x = scale * (offset + (2 * np.arange(n) + jitter) / (n - 1) - 1)
+    # values far from underflow, so every product w y x^i keeps its digits
+    sizes = st.just(0.0) | st.floats(1e-6, 1e3) | st.floats(-1e3, -1e-6)
+    y = draw(arrays(np.float64, n, elements=sizes))
+    w = draw(arrays(np.float64, n, elements=st.floats(0.1, 10.0)))
+    return scale, x, y, w
 
 
 @settings(max_examples=200, deadline=None)
-@given(samples)
-def test_quartic_fit_is_polyfit_bit_for_bit(data):
+@given(st.lists(spread_samples(), min_size=1, max_size=3))
+def test_quartic_fit_agrees_with_polyfit(fits):
+    # several fits in a row grow and shrink the kept buffer
+    for scale, x, y, w in fits:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.RankWarning)
+            got = _quartic_fit(x, y, w)
+        ref = P.polyfit(x, y, 4, w=w)
+        # compared as coefficients of x / scale, which are all of one size
+        powers = scale ** np.arange(5)
+        err = np.max(np.abs((got - ref) * powers))
+        assert err <= 1e-9 * max(np.max(np.abs(ref * powers)), np.max(np.abs(y)))
+
+
+@st.composite
+def rank_deficient_samples(draw):
+    """Samples with fewer than five distinct abscissae of nonzero weight,
+    and any number of others of weight 0."""
+    values = draw(st.lists(finite, min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(1, 300))
+    picks = draw(arrays(np.intp, n, elements=st.integers(0, len(values) - 1)))
+    w = draw(arrays(np.float64, n, elements=st.just(0.0) | st.floats(1e-3, 1e3)))
+    unweighted = draw(arrays(np.float64, st.integers(0, 20), elements=finite))
+    x = np.concatenate([np.array(values)[picks], unweighted])
+    w = np.concatenate([w, np.zeros(len(unweighted))])
+    y = draw(arrays(np.float64, len(x), elements=finite))
+    return x, y, w
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_deficient_samples())
+def test_quartic_fit_warns_on_rank_deficient_samples(data):
     x, y, w = data
-    ref, ref_error, ref_warnings = _outcome(P.polyfit, x, y, 4, w=w)
-    got, error, got_warnings = _outcome(_quartic_fit, x, y, w)
-    assert (error, got_warnings) == (ref_error, ref_warnings)
-    if ref_error is None:
-        assert _bits(got) == _bits(ref)
+    with pytest.warns(np.exceptions.RankWarning):
+        coeffs = _quartic_fit(x, y, w)
+    assert np.all(np.isfinite(coeffs))
 
 
 @settings(max_examples=200, deadline=None)
@@ -68,12 +101,51 @@ def test_horner_is_polyval_bit_for_bit(coeffs, x):
     assert _bits(_horner(coeffs, x)) == _bits(P.polyval(x, coeffs))
 
 
+
+def _fit_on_fresh_buffer(x, y, w):
+    """``_quartic_fit`` in a new thread, whose kept buffer starts empty and
+    is sized to this fit alone."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(_quartic_fit(x, y, w)))
+    thread.start()
+    thread.join()
+    return out[0]
+
+
 def test_quartic_fit_reuses_one_buffer_across_sizes():
     # a later, smaller fit runs on a strided view of the kept buffer
     rng = np.random.default_rng(7)
     for n in (5000, 40, 4999, 5001):
         x, y, w = rng.normal(size=n), rng.normal(size=n), rng.uniform(0, 2, size=n)
-        assert _bits(_quartic_fit(x, y, w)) == _bits(P.polyfit(x, y, 4, w=w))
+        got = _quartic_fit(x, y, w)
+        assert _bits(got) == _bits(_fit_on_fresh_buffer(x, y, w))
+        ref = P.polyfit(x, y, 4, w=w)
+        assert np.max(np.abs(got - ref)) <= 1e-9 * max(np.max(np.abs(ref)), np.max(np.abs(y)))
+
+
+@st.composite
+def in_regime_patterns(draw):
+    """Direct patterns inside the estimator's far-field regime (slit
+    separation at least 8 packet widths), at every phase."""
+    slit_sep = draw(st.floats(5e-5, 2e-4))
+    geom = Geometry(draw(st.floats(4e-7, 6e-7)), slit_sep, draw(st.floats(0.3, 3.0)),
+                    draw(st.floats(3e-6, slit_sep / 8)))
+    pair = make_detector_pair(draw(st.just(0.0) | st.floats(1e-3, 1.0)),
+                              draw(st.floats(-math.pi, math.pi)))
+    return pattern_on_grid(default_grid(geom), JointState(geom, pair))
+
+
+def _polyfit_quartic(x, y, w):
+    return P.polyfit(x, y, 4, w=w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(in_regime_patterns())
+def test_numeric_visibility_matches_a_polyfit_envelope(samples):
+    got = numeric_visibility(samples)
+    with mock.patch.object(analysis, "_quartic_fit", _polyfit_quartic):
+        ref = numeric_visibility(samples)
+    assert abs(got - ref) <= 1e-12
 
 
 SWEEP_VALUES = {
