@@ -20,7 +20,6 @@ exposed separately for fringe-spacing measurements and eraser checks.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -183,25 +182,6 @@ def fringe_spacing(pattern: PatternSamples, kind: str = "maxima",
     return float(np.mean(np.diff(pos)))
 
 
-class _FitRows(threading.local):
-    """Each thread's buffer for the quartic fit's weighted rows.
-
-    A fresh grid-sized array per fit can be handed back to the OS when freed
-    and faulted in again by the next fit, which on the default 8192-point
-    grid can cost more time than the fit's arithmetic.  The buffer's
-    contents never carry from one fit to the next.
-    """
-
-    rows = np.empty((6, 0))
-
-    def take(self, n: int) -> np.ndarray:
-        if self.rows.shape[1] < n:
-            self.rows = np.empty((6, n))
-        return self.rows[:, :n]
-
-
-_fit_rows = _FitRows()
-
 # entry (i, j) of the normal matrix is the moment of order i + j
 _HANKEL = np.add.outer(np.arange(5), np.arange(5))
 
@@ -213,7 +193,7 @@ def _quartic_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     taken through its 5x5 normal equations instead of an SVD of the n x 5
     matrix.
     The weighted rows w x^i and the weighted values w y are built in one
-    kept buffer; nine dot products give the moments sum w^2 x^k (k = 0..8),
+    (6, n) array; nine dot products give the moments sum w^2 x^k (k = 0..8),
     whose Hankel matrix is the normal matrix, and five more its right side.
     Scaled to a unit diagonal (polyfit's column scaling), the system is
     solved by eigendecomposition.  Forming the moments rounds each scaled
@@ -225,7 +205,7 @@ def _quartic_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     weighted residual, wins back the digits that costs.
     """
     n = len(x)
-    rows = _fit_rows.take(n)
+    rows = np.empty((6, n))
     lhs, rhs = rows[:5], rows[5]
     np.copyto(lhs[0], w)
     for i in range(1, 5):

@@ -361,13 +361,16 @@ def _keep_freed_memory():
 
     Every scan-duality value allocates and frees a few hundred KB of
     grid-sized arrays: the estimator's spectra, sample copies and scratch
-    arrays.  glibc's default thresholds adapt to the allocation history, so
-    whether that memory is handed back to the OS and faulted in again on the
-    next value depends on heap layout.  On the benchmark's three cold
-    700-value sweeps (seed 7, 8192 points, x86-64 Linux), each job took
-    about 5.1k minor faults with these thresholds and 50k to 60k without
-    them, about 0.4 s of a 1.8 to 2.3 s job.  Fixed thresholds keep the
-    memory in the heap.  Other C libraries are left as they are.
+    arrays, and for a screen_dist or packet_width sweep a new grid with its
+    positions, weights and packets.  glibc's default thresholds adapt to the
+    allocation history, so whether that memory is handed back to the OS and
+    faulted in again on the next value depends on heap layout.  On the
+    benchmark's three cold 700-value sweeps (seeds 7 and 8, 8192 points,
+    x86-64 Linux), each job took about 5.1k minor faults with these
+    thresholds.  Without them the overlap and phase sweeps took about 5.2k
+    and the screen_dist sweep 125k to 139k, which made it 0.3 to 0.8 s
+    slower than its 1.6 s.  Fixed thresholds keep the memory in the heap.
+    Other C libraries are left as they are.
     """
     if not sys.platform.startswith("linux"):
         return

@@ -8,6 +8,12 @@ suite enforces; keep them independent.
 
 ``conditional_patterns`` projects the detector side onto a measurement basis
 before squaring, producing the eraser's conditioned fringe/antifringe pair.
+
+The direct and conditional routes start from the two evolved branch packets.
+The packets depend only on the grid and the geometry; detector states and
+path amplitudes merely weight their moduli and their cross term, so patterns
+for many detector states on one grid and geometry evolve them once and
+combine them per state.
 """
 from __future__ import annotations
 
@@ -18,8 +24,6 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from . import _kernels
-from ._kernels import BranchPackets
 from .errors import NumericFailure, ValidationError
 from .packets import Geometry, effective_tau, evolution_constants
 from .qubit import DetectorPair, MeasurementBasis, inner_product
@@ -184,6 +188,73 @@ def _eval_checked(x, fn):
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
+@dataclass(frozen=True, eq=False)
+class BranchPackets:
+    """What the screen intensity needs of both evolved packets on one grid.
+
+    mod1 = |g1|^2, mod2 = |g2|^2, and cross_re, cross_im the real and
+    imaginary parts of conj(g1) g2; g1 is centered at +slit_sep/2 (the branch
+    tied to detector state d1), g2 at -slit_sep/2.  All four arrays are
+    read-only.
+    """
+
+    mod1: np.ndarray
+    mod2: np.ndarray
+    cross_re: np.ndarray
+    cross_im: np.ndarray
+
+
+def _evolve(xs: np.ndarray, geom: Geometry) -> BranchPackets:
+    """The packets g_j = A_t exp(-(x - c_j)^2 / beta) of ``geom`` at xs, in
+    real arithmetic.
+
+    With q = 1/beta and u_j = (x - c_j)^2:
+    |g_j|^2 = |A_t|^2 exp(-2 Re(q) u_j) and
+    conj(g1) g2 = |A_t|^2 exp(-Re(q) (u1 + u2)) exp(i Im(q) (u1 - u2)).
+    The phase takes u1 - u2 as (c2 - c1) (2x - c1 - c2), which does not
+    cancel far from the slits.  At most five grid-sized arrays are alive at
+    once.  A geometry too large for the float range gives non-finite values
+    without a warning; normalization refuses them.
+    """
+    prefactor, beta = evolution_constants(geom.packet_width, effective_tau(geom))
+    c1, c2 = +0.5 * geom.slit_sep, -0.5 * geom.slit_sep
+    q = 1.0 / beta
+    amp2 = abs(prefactor) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.multiply(xs, 2.0)
+        phase -= c1 + c2
+        phase *= q.imag * (c2 - c1)
+        u1 = np.subtract(xs, c1)
+        u1 *= u1
+        u2 = np.subtract(xs, c2)
+        u2 *= u2
+        for u in (u1, u2):  # u_j becomes exp(-Re(q) u_j)
+            u *= -q.real
+            np.exp(u, out=u)
+        cross_re = np.cos(phase)
+        cross_im = np.sin(phase, out=phase)
+        mag = u1 * u2
+        mag *= amp2
+        cross_re *= mag
+        cross_im *= mag
+        for e in (u1, u2):  # exp(-Re(q) u_j) becomes |g_j|^2
+            e *= e
+            e *= amp2
+    for arr in (u1, u2, cross_re, cross_im):
+        arr.flags.writeable = False
+    return BranchPackets(u1, u2, cross_re, cross_im)
+
+
+def _combine(packets: BranchPackets, w1: float, w2: float, c: complex):
+    """2 (w1 |g1|^2 + w2 |g2|^2 + 2 Re(c conj(g1) g2)) as a fresh array."""
+    out = w1 * packets.mod1
+    out += w2 * packets.mod2
+    out += (2.0 * c.real) * packets.cross_re
+    out -= (2.0 * c.imag) * packets.cross_im
+    out *= 2.0
+    return out
+
+
 def intensity_direct(x, js: JointState):
     """Screen intensity via the four-term amplitude expansion.
 
@@ -197,18 +268,10 @@ def intensity_direct(x, js: JointState):
     geom = js.geom
     ip = inner_product(js.pair.d1, js.pair.d2)
     a1, a2 = js.path_amps
+    weights = (abs(a1) ** 2, abs(a2) ** 2, a1.conjugate() * a2 * ip)
     if isinstance(x, ScreenGrid):
-        return _kernels.direct_grid(x._packets(geom), a1, a2, ip)
-    return _eval_checked(
-        x,
-        lambda xs: _kernels.direct_grid(_evolve(xs, geom), a1, a2, ip),
-    )
-
-
-def _evolve(xs: np.ndarray, geom: Geometry) -> BranchPackets:
-    prefactor, beta = evolution_constants(geom.packet_width, effective_tau(geom))
-    centers = (+0.5 * geom.slit_sep, -0.5 * geom.slit_sep)
-    return _kernels.branch_packets(xs, centers, prefactor, beta)
+        return _combine(x._packets(geom), *weights)
+    return _eval_checked(x, lambda xs: _combine(_evolve(xs, geom), *weights))
 
 
 def intensity_closed_form(x, js: JointState):
@@ -218,15 +281,7 @@ def intensity_closed_form(x, js: JointState):
     is derived for); raises ValidationError otherwise.
     """
     _require_equal_amps(js)
-    geom = js.geom
-    tau = effective_tau(geom)
-    return _eval_checked(
-        x,
-        lambda xs: np.add(*_kernels.closed_parts_grid(
-            xs, geom.slit_sep, geom.packet_width, tau,
-            js.pair.overlap_mag, js.pair.overlap_phase,
-        )),
-    )
+    return _eval_checked(x, lambda xs: np.add(*_closed_parts(xs, js)))
 
 
 def closed_form_parts(x, js: JointState):
@@ -236,16 +291,28 @@ def closed_form_parts(x, js: JointState):
     overlap-weighted cosine.  envelope + interference == closed form.
     """
     _require_equal_amps(js)
-    geom = js.geom
-    tau = effective_tau(geom)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    env, intf = _kernels.closed_parts_grid(
-        xs, geom.slit_sep, geom.packet_width, tau,
-        js.pair.overlap_mag, js.pair.overlap_phase,
-    )
+    env, intf = _closed_parts(np.atleast_1d(np.asarray(x, dtype=float)), js)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(env[0]), float(intf[0])
     return env, intf
+
+
+def _closed_parts(xs: np.ndarray, js: JointState):
+    """The closed form's Gaussian-cosh hump sum and overlap-weighted cosine
+    cross term at positions xs, from its own spread sigma^2 and fringe
+    wavenumber kappa."""
+    geom = js.geom
+    slit_sep, eps, tau = geom.slit_sep, geom.packet_width, effective_tau(geom)
+    try:
+        sig2 = eps * eps + (tau / (2.0 * eps)) ** 2
+        kap = slit_sep * tau / (4.0 * eps**4 + tau * tau)
+    except OverflowError:  # a float power past the float range raises
+        raise NumericFailure("the closed form's spread overflows for this geometry") from None
+    pref = 1.0 / math.sqrt(2.0 * math.pi * sig2)
+    gauss = pref * np.exp(-(xs * xs + 0.25 * slit_sep * slit_sep) / (2.0 * sig2))
+    envelope = gauss * np.cosh(xs * slit_sep / (2.0 * sig2))
+    interference = gauss * (js.pair.overlap_mag * np.cos(kap * xs - js.pair.overlap_phase))
+    return envelope, interference
 
 
 def _require_equal_amps(js: JointState):
@@ -321,16 +388,16 @@ def conditional_patterns(grid: ScreenGrid, js: JointState, basis: MeasurementBas
     pattern pointwise and each branch integrates to its outcome weight.
     """
     _check_fringe_resolution(grid, js.geom)
+    packets = grid._packets(js.geom)
     a1, a2 = js.path_amps
-    b_d1 = inner_product(basis.b1, js.pair.d1)
-    b_d2 = inner_product(basis.b1, js.pair.d2)
-    p_d1 = inner_product(basis.b2, js.pair.d1)
-    p_d2 = inner_product(basis.b2, js.pair.d2)
-    raw_b, raw_p = _kernels.conditional_grid(
-        grid._packets(js.geom), a1, a2, b_d1, b_d2, p_d1, p_d2
-    )
+    raws = []
+    for b in (basis.b1, basis.b2):
+        # |sqrt2 (k1 g1 + k2 g2)|^2 with k_j = <b|d_j> a_j
+        k1 = inner_product(b, js.pair.d1) * a1
+        k2 = inner_product(b, js.pair.d2) * a2
+        raws.append(_combine(packets, abs(k1) ** 2, abs(k2) ** 2, k1.conjugate() * k2))
     wts = grid._weights
-    i_b, i_p, total = _clamp_and_normalize(wts, [raw_b, raw_p])
+    i_b, i_p, total = _clamp_and_normalize(wts, raws)
     weights = (float(wts @ i_b), float(wts @ i_p))
     return EraserResult(
         i_b=PatternSamples(grid, i_b, total, "conditional"),

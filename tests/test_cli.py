@@ -143,6 +143,21 @@ class TestPattern:
         assert err.startswith("numeric failure:") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["eraser", "scan-duality"])
+    def test_overflowing_packets_are_one_numeric_failure(self, tmp_path, capsys, command):
+        # the evolved packets' exponents overflow: no NumPy warning on the way
+        geometry = dict(STANDARD_GEOMETRY, lambda_d=1e300)
+        cfg = write_config(tmp_path, geometry=geometry, eraser={"enabled": True})
+        if command == "scan-duality":
+            cfg.write_text(json.dumps({"base": {"geometry": geometry, "detector": {"overlap": 1.0}},
+                                       "sweep_param": "overlap", "values": [0.5]}))
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["pattern", "eraser"])
     def test_subnormal_grid_spacing_is_config_error(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, grid={"x_min": 0.0, "x_max": 1e-320, "n_points": 64},
@@ -516,9 +531,9 @@ class TestOutOfMemory:
     GRID = {"x_min": -0.025, "x_max": 0.025, "n_points": 8193}
 
     @pytest.mark.parametrize("command, allocation", [
-        ("pattern", "whichway._kernels.closed_parts_grid"),
-        ("eraser", "whichway._kernels.combine"),
-        ("scan-duality", "whichway._kernels.branch_packets"),
+        ("pattern", "whichway.pattern._closed_parts"),
+        ("eraser", "whichway.pattern._combine"),
+        ("scan-duality", "whichway.pattern._evolve"),
     ])
     def test_grid_that_does_not_fit_names_its_size(self, tmp_path, monkeypatch, capsys,
                                                    command, allocation):
