@@ -2,12 +2,15 @@
 
 The numeric visibility estimator works from pattern samples alone and never
 sees the geometry, so it stays an independent check on the analytic bounds.
-It first tests whether the pattern is fringe-free (a smooth-envelope fit per
-the log-domain polynomial family; residual below 1e-9 of peak means "no
-fringes", visibility 0) and otherwise demodulates the fringe component at the
-spectral peak, refined by a 3-point quadratic fit in k.  The envelope is a
-weighted least-squares quartic in the log domain, solved through its 5x5
-normal equations; the demodulation sum is taken in real arithmetic.  The
+It looks for a fringe lobe in the spectrum, fits the smooth envelope once
+over a moments-defined core, and calls the pattern fringe-free (visibility
+0) when no lobe stands out or the residual of that fit is below 1e-9 of the
+peak on the core; otherwise it demodulates the residual at the spectral
+peak, refined by a 3-point quadratic fit in k.  The envelope is a weighted
+least-squares quartic in the log domain, solved through its 5x5 normal
+equations; the demodulation sum is a block split that needs cos and sin at
+O(sqrt n) angles, not at every sample.  ``oscillatory_residual`` fits over
+all samples instead and is a diagnostic, not on the estimator's path.  The
 estimator assumes the far-field overlap regime: the packet spread well
 beyond the slit separation AND several fringes under the envelope (slit
 separation at least ~8 packet widths, so the fringe lobe clears the
@@ -37,7 +40,7 @@ from .pattern import (
 )
 from .qubit import DetectorPair, PAULI_Z, inner_product, mub_basis, variance
 
-#: Oscillatory residual (relative to peak) below which a pattern counts as fringe-free.
+#: Envelope-fit residual (relative to peak) below which a pattern counts as fringe-free.
 FLATNESS_RTOL = 1e-9
 
 #: Slack on the duality inequalities (absorbs estimator error at the bound).
@@ -272,7 +275,13 @@ def _fitted_envelope(xs: np.ndarray, ys: np.ndarray, peak: float,
 
 
 def oscillatory_residual(pattern: PatternSamples) -> float:
-    """Max deviation from the best smooth envelope, relative to the peak."""
+    """Max deviation from the best smooth envelope, relative to the peak.
+
+    The envelope is fitted over every sample above 1e-12 of the peak.  This
+    is a diagnostic: numeric_visibility does not call it, and makes its
+    fringe-free test on the residual of its own fit over the demodulation
+    core instead.
+    """
     ys = pattern.intensity
     peak = float(ys.max())
     if peak <= 0.0:
@@ -288,13 +297,15 @@ def _demodulate(grid: ScreenGrid, ys: np.ndarray):
     """Locate the fringe lobe in the spectrum and return (k, contrast).
 
     Returns None when no interior spectral peak stands above the envelope
-    lobe.  Once a peak is found, the fitted smooth envelope is subtracted so
-    its own spectral tail cannot leak into the fringe estimate (the duality
-    bound is exactly saturated at small overlap, where even a 1e-5 leak would
-    tip it), the peak is refined with a 3-point quadratic fit on the residual
-    log-magnitudes (exact for the Gaussian lobes produced here), and the
-    contrast is 2 |sum r e^{-ikx}| / sum I with trapezoid weights, the
-    modulus taken from the two real sums of r cos(kx) and r sin(kx).
+    lobe, or when the pattern is flat: the residual of the one envelope fit
+    stays below FLATNESS_RTOL of the peak over the fitted core.  Otherwise
+    the fitted smooth envelope is subtracted so its own spectral tail cannot
+    leak into the fringe estimate (the duality bound is exactly saturated at
+    small overlap, where even a 1e-5 leak would tip it), the peak is refined
+    with a 3-point quadratic fit on the residual log-magnitudes (exact for
+    the Gaussian lobes produced here), and the contrast is
+    2 |sum r e^{-ikx}| / sum I with trapezoid weights, the modulus taken by
+    _dft_modulus.
 
     Grid-sized work goes through two scratch arrays, a and b, instead of a
     temporary per operation.
@@ -344,6 +355,10 @@ def _demodulate(grid: ScreenGrid, ys: np.ndarray):
     fitted &= offset <= 5.5 * sigma
     resid = _fitted_envelope(xs, ys, peak, fitted)
     np.subtract(ys, resid, out=resid)
+    # the flatness test, on the residual of the one fit over the core
+    core = resid[fitted]
+    if float(np.max(np.abs(core, out=core))) / peak < FLATNESS_RTOL:
+        return None
     # ramp = clip((5.5 sigma - offset) / sigma, 0, 1), in b;
     # taper = ramp**3 * (ramp * (6 ramp - 15) + 10), in a
     ramp = np.subtract(5.5 * sigma, offset, out=b)
@@ -353,7 +368,9 @@ def _demodulate(grid: ScreenGrid, ys: np.ndarray):
     a -= 15.0
     a *= ramp
     a += 10.0
-    a *= np.power(ramp, 3, out=ramp)
+    a *= ramp
+    a *= ramp
+    a *= ramp
     resid *= a
     # refine the peak on the residual spectrum: its lobe is symmetric, so the
     # 3-point quadratic fit in log-magnitude is exact up to rounding
@@ -369,23 +386,60 @@ def _demodulate(grid: ScreenGrid, ys: np.ndarray):
             if denom != 0.0:
                 khat += 0.5 * (ks[1] - ks[0]) * (lm - lp) / denom
     resid *= wts
-    np.multiply(xs, khat, out=a)
-    np.cos(a, out=b)
-    np.sin(a, out=a)
-    return khat, 2.0 * math.hypot(resid @ b, resid @ a) / total
+    # the positions are x_min + j spacing(); xs[1] - xs[0] is off by up to
+    # half an ulp of x_min, which the sum would multiply by up to n
+    return khat, 2.0 * _dft_modulus(resid, khat * grid.spacing()) / total
+
+
+def _dft_modulus(c: np.ndarray, step: float) -> float:
+    """|sum_j c_j e^{-i step j}| with O(sqrt n) cos and sin calls.
+
+    On a uniform grid x_j = x_0 + j h this is |sum_j c_j e^{-i k x_j}| for
+    step = k h: the factor e^{-i k x_0} has modulus 1.  Split j = m a + b,
+    with m a power of two near sqrt(n) and c zero-padded to whole rows of
+    m; the inner sums over b are two mat-vecs of the (rows, m) block against
+    cos and sin of step b, and the outer sum weights them by e^{-i step m a}.
+    """
+    n = len(c)
+    m = 1 << ((n - 1).bit_length() // 2)
+    rows = -(-n // m)
+    if rows * m != n:
+        c = np.concatenate((c, np.zeros(rows * m - n)))
+    block = c.reshape(rows, m)
+    cos_b, sin_b = _cis(step, m)
+    re_b, im_b = block @ cos_b, block @ sin_b
+    cos_a, sin_a = _cis(step * m, rows)
+    return math.hypot(cos_a @ re_b - sin_a @ im_b, cos_a @ im_b + sin_a @ re_b)
+
+
+def _cis(step: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of step j for j = 0 .. count - 1, each as accurate as cos
+    and sin themselves.
+
+    Rounding step j would move each angle by up to half an ulp of itself,
+    and in _dft_modulus one such error is shared by a whole row of the
+    block, so it does not average out.  Instead step = hi + lo, with hi cut
+    to 53 - p bits by Veltkamp's split (count <= 2^p): every j hi is exact,
+    and the rest j lo, below 2^(p - 53) of the angle, enters to first order.
+    """
+    j = np.arange(count)
+    split = step * ((1 << (count - 1).bit_length()) + 1)
+    hi = split - (split - step)
+    angle = j * hi
+    rest = j * (step - hi)
+    cos, sin = np.cos(angle), np.sin(angle)
+    return cos - rest * sin, sin + rest * cos
 
 
 def numeric_visibility(pattern: PatternSamples) -> float:
     """Fringe contrast estimated from the samples alone.
 
-    Fringe-free patterns (oscillatory residual below FLATNESS_RTOL of peak,
-    or no fringe lobe in the spectrum) return exactly 0.  The result is
-    clamped into [0, 1].
+    One envelope fit per pattern.  Fringe-free patterns (no fringe lobe in
+    the spectrum, or a residual below FLATNESS_RTOL of the peak over the
+    fitted core) return exactly 0.  The result is clamped into [0, 1].
     """
     ys = pattern.intensity
     if ys.max() <= 0.0:
-        return 0.0
-    if oscillatory_residual(pattern) < FLATNESS_RTOL:
         return 0.0
     demod = _demodulate(pattern.grid, ys)
     if demod is None:

@@ -1,7 +1,9 @@
 """The scan-duality pipeline shares work across sweep values without
 changing a bit: its rows equal per-value duality reports.  The in-package
 envelope fit agrees with NumPy's polyfit, and its polynomial evaluation
-equals polyval bit for bit."""
+equals polyval bit for bit.  The estimator fits once per pattern: its
+fringe-free verdict on the fitted core agrees with the all-samples
+residual, and its block-split demodulation sum with the direct sum."""
 import json
 import math
 import warnings
@@ -20,7 +22,9 @@ from whichway import (  # noqa: E402
     make_detector_pair, pattern_on_grid, rotated_basis,
 )
 from whichway import analysis  # noqa: E402
-from whichway.analysis import _horner, _quartic_fit, numeric_visibility  # noqa: E402
+from whichway.analysis import (  # noqa: E402
+    FLATNESS_RTOL, _dft_modulus, _horner, _quartic_fit, numeric_visibility, oscillatory_residual,
+)
 from whichway.cli import main  # noqa: E402
 
 P = np.polynomial.polynomial
@@ -133,6 +137,47 @@ def test_numeric_visibility_matches_a_polyfit_envelope(samples):
     with mock.patch.object(analysis, "_quartic_fit", _polyfit_quartic):
         ref = numeric_visibility(samples)
     assert abs(got - ref) <= 1e-12
+
+
+def test_block_split_modulus_is_the_direct_sum():
+    # The direct float64 sum rounds each phase k x to half an ulp of itself,
+    # up to 9e-13 rad near Nyquist on these grids, which leaves it a few
+    # 1e-12 of its own modulus off for random residuals; so both sides are
+    # compared on the scale of the summed terms, sum |r|.
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 4999, 5000, 8192, 8193):
+        grid = ScreenGrid(-0.025, 0.025, n)
+        xs, h = grid.xs(), grid.spacing()
+        for k in np.append(rng.uniform(0.0, math.pi / h, 8), [0.0, math.pi / h]):
+            r = rng.normal(size=n)
+            ref = math.hypot(r @ np.cos(k * xs), r @ np.sin(k * xs))
+            assert abs(_dft_modulus(r, k * h) - ref) <= 1e-12 * np.sum(np.abs(r))
+
+
+# On the thin-packet geometry, fringe-free patterns pass the spectral
+# screen, so their verdict is the flatness test on the fitted core.
+FRINGE_FREE_GEOMETRIES = {"reference": Geometry(5e-7, 1e-4, 1.0, 1e-5),
+                          "thin-packets": Geometry(5e-7, 1e-4, 1.0, 5e-6)}
+
+
+@pytest.mark.parametrize("phase", [-3.0, -1.0, 0.0, 0.3, 1.5, 3.1])
+@pytest.mark.parametrize("name", sorted(FRINGE_FREE_GEOMETRIES))
+def test_fringe_free_verdict_on_the_core_agrees_with_the_residual(name, phase):
+    geom = FRINGE_FREE_GEOMETRIES[name]
+    grid = default_grid(geom)
+    js = JointState(geom, make_detector_pair(0.0, phase))
+    flat = [pattern_on_grid(grid, js, mode) for mode in ("direct", "closed_form")]
+    flat.append(conditional_patterns(grid, js, rotated_basis(math.pi / 4)).i_sum)
+    for samples in flat:
+        with mock.patch.object(analysis, "_quartic_fit", wraps=_quartic_fit) as fit:
+            assert numeric_visibility(samples) == 0.0
+        assert fit.call_count <= 1
+        assert oscillatory_residual(samples) < FLATNESS_RTOL
+    for overlap in (1e-3, 0.3, 1.0):
+        samples = pattern_on_grid(grid, JointState(geom, make_detector_pair(overlap, phase)))
+        with mock.patch.object(analysis, "_quartic_fit", wraps=_quartic_fit) as fit:
+            assert numeric_visibility(samples) > 0.0
+        assert fit.call_count == 1
 
 
 SWEEP_VALUES = {
