@@ -2,15 +2,17 @@
 
 The numeric visibility estimator works from pattern samples alone and never
 sees the geometry, so it stays an independent check on the analytic bounds.
-It looks for a fringe lobe in the spectrum, fits the smooth envelope once
-over a moments-defined core, and calls the pattern fringe-free (visibility
-0) when no lobe stands out or the residual of that fit is below 1e-9 of the
-peak on the core; otherwise it demodulates the residual at the spectral
-peak, refined by a 3-point quadratic fit in k.  The envelope is a weighted
-least-squares quartic in the log domain, solved through its 5x5 normal
-equations; the demodulation sum is a block split that needs cos and sin at
-O(sqrt n) angles, not at every sample.  ``oscillatory_residual`` fits over
-all samples instead and is a diagnostic, not on the estimator's path.  The
+After the pattern's moments, all of its work stays on a moments-defined
+core.  It fits the smooth envelope there first, once per pattern, and calls
+the pattern fringe-free (visibility 0) when the residual of that fit is
+below 1e-9 of the peak on the core.  Otherwise it takes one spectrum, of the
+tapered residual, and calls the pattern fringe-free when no lobe stands out
+there; else it demodulates the residual at that spectrum's peak, refined by
+a 3-point quadratic fit in k.  The envelope is a weighted least-squares
+quartic in the log domain, solved through its 5x5 normal equations; the
+demodulation sum is a block split that needs cos and sin at O(sqrt n)
+angles, not at every sample.  ``oscillatory_residual`` fits over all
+samples instead and is a diagnostic, not on the estimator's path.  The
 estimator assumes the far-field overlap regime: the packet spread well
 beyond the slit separation AND several fringes under the envelope (slit
 separation at least ~8 packet widths, so the fringe lobe clears the
@@ -249,26 +251,21 @@ def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fitted_envelope(xs: np.ndarray, ys: np.ndarray, peak: float,
-                     fitted: np.ndarray) -> np.ndarray:
+def _fitted_envelope(u: np.ndarray, ys: np.ndarray, peak: float,
+                     fitted: np.ndarray | None) -> np.ndarray:
     """Best smooth envelope: exp(quartic polynomial) fit in the log domain.
 
-    Intensity-weighted over the samples selected by the boolean mask
-    ``fitted`` (callers keep only samples above 1e-12 of ``peak``, the
-    maximum of ys); the family reproduces every fringe-free pattern this
-    toolkit emits (Gaussian-cosh hump sums and displaced single humps) to
-    rounding, while oscillations are left in the residual.  Returned on the
-    full grid, capped at e*peak so an extrapolated tail cannot blow up.
+    u is a normalised abscissa of the samples ys.  The fit is
+    intensity-weighted over the samples selected by the boolean mask
+    ``fitted``, or over all of them when it is None (callers keep only
+    samples above 1e-12 of ``peak``, the maximum of the pattern); the family
+    reproduces every fringe-free pattern this toolkit emits (Gaussian-cosh
+    hump sums and displaced single humps) to rounding, while oscillations
+    are left in the residual.  Returned at every u, capped at e*peak so an
+    extrapolated tail cannot blow up.
     """
-    x = xs[fitted]
-    w = ys[fitted]
-    center = x.mean()
-    scale = x.std() or 1.0
-    x -= center
-    x /= scale
+    x, w = (u, ys) if fitted is None else (u[fitted], ys[fitted])
     coeffs = _quartic_fit(x, np.log(w), w)
-    u = np.subtract(xs, center)
-    u /= scale
     fit = _horner(coeffs, u)
     np.minimum(fit, math.log(peak) + 1.0, out=fit)
     return np.exp(fit, out=fit)
@@ -287,28 +284,55 @@ def oscillatory_residual(pattern: PatternSamples) -> float:
     if peak <= 0.0:
         return 0.0
     fitted = ys > peak * 1e-12
-    deviation = _fitted_envelope(pattern.grid.xs(), ys, peak, fitted)
+    xs = pattern.grid.xs()
+    x = xs[fitted]
+    u = np.subtract(xs, x.mean())
+    u /= x.std() or 1.0
+    deviation = _fitted_envelope(u, ys, peak, fitted)
     np.subtract(ys, deviation, out=deviation)
     np.abs(deviation, out=deviation)
     return float(np.max(deviation[fitted])) / peak
 
 
-def _demodulate(grid: ScreenGrid, ys: np.ndarray):
-    """Locate the fringe lobe in the spectrum and return (k, contrast).
+def _first_bin_from(cutoff: float, unit: float, count: int) -> int:
+    """The first of ``count`` rfft bins whose angular wavenumber 2 pi (j unit)
+    is at least ``cutoff``, or ``count`` when none is.
 
-    Returns None when no interior spectral peak stands above the envelope
-    lobe, or when the pattern is flat: the residual of the one envelope fit
-    stays below FLATNESS_RTOL of the peak over the fitted core.  Otherwise
-    the fitted smooth envelope is subtracted so its own spectral tail cannot
-    leak into the fringe estimate (the duality bound is exactly saturated at
-    small overlap, where even a 1e-5 leak would tip it), the peak is refined
-    with a 3-point quadratic fit on the residual log-magnitudes (exact for
-    the Gaussian lobes produced here), and the contrast is
-    2 |sum r e^{-ikx}| / sum I with trapezoid weights, the modulus taken by
-    _dft_modulus.
+    unit is np.fft.rfftfreq's bin spacing 1 / (n d), and the wavenumbers are
+    taken with rfftfreq's arithmetic, so this is searchsorted on 2 pi times
+    rfftfreq without the array.
+    """
+    def k(j):
+        return 2.0 * math.pi * (j * unit)
 
-    Grid-sized work goes through two scratch arrays, a and b, instead of a
-    temporary per operation.
+    guess = cutoff / k(1)
+    if not guess < count:  # also an infinite or nan quotient
+        return count
+    j = max(math.ceil(guess), 0)
+    while j > 0 and k(j - 1) >= cutoff:
+        j -= 1
+    while j < count and k(j) < cutoff:
+        j += 1
+    return j
+
+
+def _demodulate(grid: ScreenGrid, ys: np.ndarray, peak: float):
+    """Fit the envelope, find the fringe lobe in one spectrum, and return
+    (k, contrast).
+
+    peak is the maximum of ys.  After the moments (total, mean and variance
+    of the pattern), every step works on the core |x - mean| <= 5.5 sigma, a
+    contiguous run of samples.  Returns None when the pattern is flat (the
+    residual of the envelope fit over the core stays below FLATNESS_RTOL of
+    the peak), or when no interior peak of the residual spectrum stands above
+    the envelope lobe's cutoff and 1e-9 of the pattern's sum.  The fitted
+    smooth envelope is subtracted before the spectrum is taken, so its own
+    spectral tail cannot leak into the fringe estimate (the duality bound is
+    exactly saturated at small overlap, where even a 1e-5 leak would tip
+    it).  The peak is refined with a 3-point quadratic fit on the residual
+    log-magnitudes (exact for the Gaussian lobes produced here), and the
+    contrast is 2 |sum r e^{-ikx}| / sum I with trapezoid weights, the
+    modulus taken by _dft_modulus.
     """
     xs = grid.xs()
     wts = grid._weights
@@ -316,29 +340,10 @@ def _demodulate(grid: ScreenGrid, ys: np.ndarray):
     total = float(np.sum(a))
     if total <= 0.0:
         return None
-    np.multiply(wts, xs, out=a)
-    a *= ys
-    mean = float(np.sum(a)) / total
+    mean = float(a @ xs) / total
     b = np.subtract(xs, mean)
-    np.square(b, out=a)
-    a *= wts
-    a *= ys
-    var = float(np.sum(a)) / total
+    var = float(a @ np.square(b)) / total
     if var <= 0.0:
-        return None
-    cutoff = 3.2 / math.sqrt(var)
-    spectrum = np.abs(np.fft.rfft(ys))
-    ks = grid._wavenumbers
-    start = max(int(np.searchsorted(ks, cutoff)), 1)
-    if start >= len(spectrum) - 1:
-        return None
-    seg = spectrum[start:-1]
-    interior = (seg > spectrum[start - 1 : -2]) & (seg > spectrum[start + 1 :])
-    candidates = np.where(interior)[0] + start
-    if len(candidates) == 0:
-        return None
-    peak_j = int(candidates[np.argmax(spectrum[candidates])])
-    if spectrum[peak_j] < 1e-9 * spectrum[0]:
         return None
     # Remove the smooth envelope before measuring the lobe.  Fit and residual
     # are confined to a moments-defined core with a smooth taper: the quartic
@@ -347,45 +352,64 @@ def _demodulate(grid: ScreenGrid, ys: np.ndarray):
     # inside the core has negligible content at the fringe frequency; what
     # this removes is the envelope's own spectral tail there, which would
     # otherwise bias the contrast upward at small overlap where the duality
-    # bound is saturated.
+    # bound is saturated.  b is ascending, so the core is one index range.
     sigma = math.sqrt(var)
-    offset = np.abs(b, out=b)
-    peak = float(ys.max())
-    fitted = ys > peak * 1e-12
-    fitted &= offset <= 5.5 * sigma
-    resid = _fitted_envelope(xs, ys, peak, fitted)
-    np.subtract(ys, resid, out=resid)
+    half = 5.5 * sigma
+    lo = int(np.searchsorted(b, -half, "left"))
+    hi = int(np.searchsorted(b, half, "right"))
+    x = b[lo:hi]
+    x /= half
+    core = ys[lo:hi]
+    fitted = core > peak * 1e-12
+    if fitted.all():
+        fitted = None
+    resid = _fitted_envelope(x, core, peak, fitted)
+    np.subtract(core, resid, out=resid)
     # the flatness test, on the residual of the one fit over the core
-    core = resid[fitted]
-    if float(np.max(np.abs(core, out=core))) / peak < FLATNESS_RTOL:
+    flat = np.abs(resid if fitted is None else resid[fitted])
+    if float(np.max(flat)) / peak < FLATNESS_RTOL:
         return None
-    # ramp = clip((5.5 sigma - offset) / sigma, 0, 1), in b;
-    # taper = ramp**3 * (ramp * (6 ramp - 15) + 10), in a
-    ramp = np.subtract(5.5 * sigma, offset, out=b)
-    ramp /= sigma
+    # ramp = clip(5.5 (1 - |x|), 0, 1), in x;
+    # taper = ramp**3 * (ramp * (6 ramp - 15) + 10), in t
+    ramp = np.abs(x, out=x)
+    np.subtract(1.0, ramp, out=ramp)
+    ramp *= 5.5
     np.clip(ramp, 0.0, 1.0, out=ramp)
-    np.multiply(ramp, 6.0, out=a)
-    a -= 15.0
-    a *= ramp
-    a += 10.0
-    a *= ramp
-    a *= ramp
-    a *= ramp
-    resid *= a
-    # refine the peak on the residual spectrum: its lobe is symmetric, so the
-    # 3-point quadratic fit in log-magnitude is exact up to rounding
-    clean = np.abs(np.fft.rfft(resid))
-    lo = max(peak_j - 2, start)
-    peak_j = lo + int(np.argmax(clean[lo : peak_j + 3]))
-    khat = ks[peak_j]
-    if 0 < peak_j < len(clean) - 1:
-        trio = clean[peak_j - 1 : peak_j + 2]
-        if np.all(trio > 0.0):
-            lm, l0, lp = np.log(trio)
-            denom = lm - 2.0 * l0 + lp
-            if denom != 0.0:
-                khat += 0.5 * (ks[1] - ks[0]) * (lm - lp) / denom
-    resid *= wts
+    t = np.multiply(ramp, 6.0)
+    t -= 15.0
+    t *= ramp
+    t += 10.0
+    t *= ramp
+    t *= ramp
+    t *= ramp
+    resid *= t
+    # The tapered residual is zero off the core, and spectral moduli do not
+    # depend on a shift, so the core zero-padded to n stands in for the grid.
+    n, h = grid.n_points, float(xs[1] - xs[0])
+    spectrum = np.abs(np.fft.rfft(resid, n))
+    unit = 1.0 / (n * h)  # rfftfreq's bin spacing
+    start = max(_first_bin_from(3.2 / sigma, unit, len(spectrum)), 1)
+    if start >= len(spectrum) - 1:
+        return None
+    seg = spectrum[start:-1]
+    interior = (seg > spectrum[start - 1 : -2]) & (seg > spectrum[start + 1 :])
+    candidates = np.where(interior)[0] + start
+    if len(candidates) == 0:
+        return None
+    peak_j = int(candidates[np.argmax(spectrum[candidates])])
+    # total / h is the pattern's sum but for half its two end samples
+    if spectrum[peak_j] < 1e-9 * (total / h):
+        return None
+    # the residual's lobe is symmetric, so the 3-point quadratic fit in
+    # log-magnitude is exact up to rounding
+    khat = 2.0 * math.pi * (peak_j * unit)
+    trio = spectrum[peak_j - 1 : peak_j + 2]
+    if np.all(trio > 0.0):
+        lm, l0, lp = np.log(trio)
+        denom = lm - 2.0 * l0 + lp
+        if denom != 0.0:
+            khat += 0.5 * (2.0 * math.pi * unit) * (lm - lp) / denom
+    resid *= wts[lo:hi]
     # the positions are x_min + j spacing(); xs[1] - xs[0] is off by up to
     # half an ulp of x_min, which the sum would multiply by up to n
     return khat, 2.0 * _dft_modulus(resid, khat * grid.spacing()) / total
@@ -434,14 +458,16 @@ def _cis(step: float, count: int) -> tuple[np.ndarray, np.ndarray]:
 def numeric_visibility(pattern: PatternSamples) -> float:
     """Fringe contrast estimated from the samples alone.
 
-    One envelope fit per pattern.  Fringe-free patterns (no fringe lobe in
-    the spectrum, or a residual below FLATNESS_RTOL of the peak over the
-    fitted core) return exactly 0.  The result is clamped into [0, 1].
+    One envelope fit and at most one spectrum per pattern.  Fringe-free
+    patterns (a residual below FLATNESS_RTOL of the peak over the fitted
+    core, or no fringe lobe in the residual's spectrum) return exactly 0.
+    The result is clamped into [0, 1].
     """
     ys = pattern.intensity
-    if ys.max() <= 0.0:
+    peak = float(ys.max())
+    if peak <= 0.0:
         return 0.0
-    demod = _demodulate(pattern.grid, ys)
+    demod = _demodulate(pattern.grid, ys, peak)
     if demod is None:
         return 0.0
     return float(min(max(demod[1], 0.0), 1.0))

@@ -34,7 +34,7 @@ from .qubit import (
     bloch_sphere_lattice,
     make_detector_pair,
     rotated_basis,
-    state_from_bloch,
+    states_from_bloch,
     sum_uncertainty,
 )
 
@@ -269,8 +269,7 @@ def _cmd_uncertainty_scan(args) -> tuple[None, dict]:
         raise ValidationError(f"samples must be >= 1, got {args.samples}")
     with _sized(f"a lattice of {args.samples} points"):
         lattice = bloch_sphere_lattice(args.samples)
-    variances = [sum_uncertainty(state_from_bloch(n1, n2, n3)) for n1, n2, n3 in lattice]
-    var_sigma2, var_sigma3, sums = np.array(variances).T
+        var_sigma2, var_sigma3, sums = sum_uncertainty(states_from_bloch(lattice))
     return None, {"n1": lattice[:, 0], "n2": lattice[:, 1], "n3": lattice[:, 2],
                   "var_sigma2": var_sigma2, "var_sigma3": var_sigma3, "sum": sums,
                   "min_sum": sums.min()}

@@ -28,8 +28,9 @@ from .errors import NumericFailure, ValidationError
 from .packets import Geometry, effective_tau, evolution_constants
 from .qubit import DetectorPair, MeasurementBasis, inner_product
 
-#: Values in [CLAMP_FLOOR, 0) are rounding residue and are clamped to 0;
-#: anything below is a numeric failure, not noise.
+#: Raw intensities in [CLAMP_FLOOR m, 0), m the larger of 1 and the largest
+#: raw value, are rounding residue and are clamped to 0; anything below is a
+#: numeric failure, not noise.
 CLAMP_FLOOR = -1e-15
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -41,10 +42,10 @@ _MAX_FLOATS = np.iinfo(np.intp).max // 8
 class ScreenGrid:
     """Uniform grid of screen positions (meters).
 
-    The positions, their quadrature weights and wavenumbers, and the packets
-    of the direct and conditional routes are computed on first use and kept
-    with the grid, so every direct pattern, eraser pattern and estimate on
-    one grid object shares them.
+    The positions, their quadrature weights and the packets of the direct
+    and conditional routes are computed on first use and kept with the grid,
+    so every direct pattern, eraser pattern and estimate on one grid object
+    shares them.
     """
 
     x_min: float
@@ -84,12 +85,6 @@ class ScreenGrid:
         wts = np.full(self.n_points, h)
         wts[0] = wts[-1] = 0.5 * h
         return _read_only(wts)
-
-    @cached_property
-    def _wavenumbers(self) -> np.ndarray:
-        """Angular wavenumbers of the np.fft.rfft bins of samples on this grid."""
-        xs = self.xs()
-        return _read_only(2.0 * math.pi * np.fft.rfftfreq(self.n_points, d=xs[1] - xs[0]))
 
     def spacing(self) -> float:
         return (self.x_max - self.x_min) / (self.n_points - 1)
@@ -336,21 +331,26 @@ def _clamp_and_normalize(weights: np.ndarray, branches):
     """Clamp rounding residue and normalize to unit integral, in place.
 
     Each branch is an unnormalized intensity on the grid whose trapezoid
-    weights are ``weights``.  Values in [CLAMP_FLOOR, 0) are set to 0;
-    non-finite values or anything below the floor raise NumericFailure.
-    Every branch is divided by the trapezoid integral of the branches' sum.
-    The branches are changed in place, so callers pass arrays of their own.
-    Returns them in order, then that integral.
+    weights are ``weights``.  Negative values are rounding residue and are
+    set to 0 down to the floor CLAMP_FLOOR m, where m is the larger of 1 and
+    the largest raw value of any branch: the residue scales with the values
+    that cancel.  Non-finite values or anything below the floor raise
+    NumericFailure.  Every branch is divided by the trapezoid integral of the
+    branches' sum.  The branches are changed in place, so callers pass arrays
+    of their own.  Returns them in order, then that integral.
     """
     for raw in branches:
         if not np.all(np.isfinite(raw)):
             raise NumericFailure("non-finite intensity values on the grid")
         low = raw.min()
         if low < CLAMP_FLOOR:
-            raise NumericFailure(
-                f"intensity {low!r} below the clamp floor {CLAMP_FLOOR}; "
-                "this is a bug, not rounding"
-            )
+            # the relative floor needs the largest value, only taken here
+            floor = CLAMP_FLOOR * max(1.0, *(float(b.max()) for b in branches))
+            if low < floor:
+                raise NumericFailure(
+                    f"intensity {float(low)!r} below the clamp floor {floor!r}; "
+                    "this is a bug, not rounding"
+                )
         raw[raw < 0.0] = 0.0
     total = float(weights @ reduce(np.add, branches))
     if not (math.isfinite(total) and total > 0.0):

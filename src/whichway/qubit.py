@@ -55,6 +55,39 @@ class DetectorState:
             )
 
 
+@dataclass(frozen=True, eq=False)
+class DetectorStates:
+    """Many pure detector states at once: entry i of the complex arrays c1
+    and c2 holds the components of state i.
+
+    Observables' ``expectation`` and ``variance`` take it in place of a
+    DetectorState and return one value per state.  Construction checks the
+    DetectorState invariant on every entry.
+    """
+
+    c1: np.ndarray
+    c2: np.ndarray
+
+    def __post_init__(self):
+        c1 = np.asarray(self.c1, dtype=complex)
+        c2 = np.asarray(self.c2, dtype=complex)
+        if c1.ndim != 1 or c1.shape != c2.shape:
+            raise ValidationError(
+                f"c1 and c2 must be 1-d arrays of one length, got shapes {c1.shape}, {c2.shape}"
+            )
+        if not (np.all(np.isfinite(c1)) and np.all(np.isfinite(c2))):
+            raise ValidationError("amplitudes must be finite")
+        norm = np.abs(c1) ** 2 + np.abs(c2) ** 2
+        bad = np.flatnonzero(np.abs(norm - 1.0) > NORM_TOL)
+        if len(bad):
+            raise ValidationError(
+                f"state {bad[0]} not normalized: |c1|^2+|c2|^2 = {norm[bad[0]]!r} "
+                f"(tolerance {NORM_TOL})"
+            )
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+
+
 def inner_product(a: DetectorState, b: DetectorState) -> complex:
     """Hermitian inner product <a|b> = conj(a1) b1 + conj(a2) b2."""
     return a.c1.conjugate() * b.c1 + a.c2.conjugate() * b.c2
@@ -141,8 +174,8 @@ class DichotomicObservable:
             raise ValidationError(f"bloch vector must be unit length, |n| = {norm!r}")
         object.__setattr__(self, "bloch", n)
 
-    def expectation(self, state: DetectorState) -> float:
-        """<state| n.sigma |state>."""
+    def expectation(self, state: DetectorState | DetectorStates):
+        """<state| n.sigma |state>, per state for DetectorStates."""
         z = state.c1.conjugate() * state.c2
         n1, n2, n3 = self.bloch
         return (
@@ -160,17 +193,21 @@ PAULI_Z = DichotomicObservable((0.0, 0.0, 1.0))
 WHICH_WAY_OBSERVABLE = PAULI_Z
 
 
-def variance(state: DetectorState, obs: DichotomicObservable) -> float:
-    """Variance of a dichotomic observable in a pure state: 1 - <n.sigma>^2.
+def variance(state: DetectorState | DetectorStates, obs: DichotomicObservable):
+    """Variance of a dichotomic observable in a pure state: 1 - <n.sigma>^2,
+    per state for DetectorStates.
 
     Always in [0, 1]; tiny negative rounding residue is clamped to 0.
     """
     e = obs.expectation(state)
+    if isinstance(state, DetectorStates):
+        return np.maximum(1.0 - e * e, 0.0)
     return max(1.0 - e * e, 0.0)
 
 
-def sum_uncertainty(state: DetectorState) -> tuple[float, float, float]:
-    """Variances of sigma_y and sigma_z and their sum.
+def sum_uncertainty(state: DetectorState | DetectorStates):
+    """Variances of sigma_y and sigma_z and their sum, per state for
+    DetectorStates.
 
     For any pure qubit state the sum is >= 1, with equality exactly when
     <sigma_x> = 0.
@@ -250,3 +287,23 @@ def state_from_bloch(n1: float, n2: float, n3: float) -> DetectorState:
         math.cos(polar / 2.0),
         math.sin(polar / 2.0) * cmath.exp(1j * azimuth),
     )
+
+
+def states_from_bloch(bloch: np.ndarray) -> DetectorStates:
+    """The states of state_from_bloch for every row of an (n, 3) array of
+    Bloch vectors, by the same formulas in NumPy.
+
+    NumPy's cos, sin, arccos and arctan2 may differ from the C library's in
+    the last bit, so entries can differ from state_from_bloch's by a few
+    ulps.
+    """
+    n1, n2, n3 = np.asarray(bloch, dtype=float).T
+    norm = np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)
+    bad = np.flatnonzero(~(np.abs(norm - 1.0) <= 1e-9))
+    if len(bad):
+        raise ValidationError(
+            f"bloch vector {bad[0]} must be unit length, |n| = {norm[bad[0]]!r}"
+        )
+    half_polar = np.arccos(np.clip(n3, -1.0, 1.0)) / 2.0
+    azimuth = np.arctan2(n2, n1)
+    return DetectorStates(np.cos(half_polar), np.sin(half_polar) * np.exp(1j * azimuth))

@@ -306,6 +306,21 @@ class TestEraser:
             interior = (column[1:-1] > column[:-2]) & (column[1:-1] > column[2:])
             assert interior.sum() <= 1  # single hump
 
+    def test_rounding_residue_far_below_the_peak_is_clamped(self, tmp_path, capsys):
+        # a branch cancels to -3.6e-15 at x = 0, 2e-17 of the raw peak of 160
+        cfg = write_config(
+            tmp_path,
+            detector={"overlap": 0.6, "phase": 0.0},
+            eraser={"enabled": True, "basis_angle": math.pi / 4},
+            grid={"x_min": -0.025, "x_max": 0.025, "n_points": 8193},
+        )
+        out = tmp_path / "eraser.csv"
+        assert main(["eraser", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == f"wrote {out}\n"
+        _, rows = read_csv(out)
+        data = np.array([[float(v) for v in row] for row in rows])
+        assert data[:, 1].min() >= 0.0 and data[:, 2].min() >= 0.0
+
     def test_requires_enabled_flag(self, tmp_path):
         cfg = write_config(tmp_path, eraser={"enabled": False})
         assert main(["eraser", "--config", str(cfg)]) == 1

@@ -45,6 +45,24 @@ bits.  Old against new, on these configs: V_numeric differs by at most
 1.1e-16 and lhs by 2.2e-16; s, D, V_bound, dP2, dQ2, rhs_unc and the
 egy_ok/unc_ok flags are identical.  The pattern, eraser, bohr and
 uncertainty digests did not change.
+
+The four ``duality-phase.*`` and ``duality-screen.*`` digests were
+re-recorded when the estimator began to fit the envelope on the
+demodulation core before taking any spectrum, with the core's normalised
+abscissa (b / 5.5 sigma) in place of a mean-and-std rescaling, and to find
+and refine the fringe lobe in one spectrum of the tapered residual instead
+of choosing it in a spectrum of the raw pattern.  Old against new:
+V_numeric and lhs differ by at most 2.2e-16 on the phase sweep and 1.1e-16
+on the screen_dist sweep; s, D, V_bound, dP2, dQ2, rhs_unc and the
+egy_ok/unc_ok flags are identical, and the ``duality-overlap.*`` digests
+did not change.
+
+The two ``uncertainty.*`` digests were re-recorded when uncertainty-scan
+began to build all lattice states at once (``states_from_bloch``) with
+NumPy's arccos, arctan2, cos, sin and complex exp instead of the C
+library's, which differ in the last bit.  Old against new, on 777 samples:
+var_sigma2 differs by at most 6.7e-16, var_sigma3 by 7.8e-16 and sum by
+8.9e-16 (253 of 777 rows); n1, n2, n3 and min_sum are identical.
 """
 import hashlib
 import json
@@ -88,16 +106,16 @@ DIGESTS = {
     "bohr.json": "fb58f08669d71e30f4933fc475297c08e8108b1b8f6fdbd5ce5d06d66487e0ba",
     "duality-overlap.csv": "22ceee47b7f89f3a58cddaf10173148bcac745d5ca7e894488f50cc359d242ae",
     "duality-overlap.json": "303a6b48df1dc08e379955725fb65d84535c8332d8c07dcd527f4f4733080338",
-    "duality-phase.csv": "ca67af49e73c92a6276162f9b53686b585c4310ddc60409cc932e6047e206340",
-    "duality-phase.json": "25a83640cf6edc220cdc6e02c98af26e6abaf0b1a407f166bf0a78618cb74ad9",
-    "duality-screen.csv": "3e3d43debe396271bd5fefe5db5b9102e430a2b80fabf643a254f93fee266bb8",
-    "duality-screen.json": "590800ef10af93500e1b4f9874fc615c172475f199a9e6049f74c50f70394d02",
+    "duality-phase.csv": "3ff23b452ce61aabae9cff550d37a60b484a119dfb4274c4129ff3779d561ba2",
+    "duality-phase.json": "e80688c853c4b839e6a4f388c71da1f60e4bcec2fd11fa1d1605b357e53dc6ad",
+    "duality-screen.csv": "f3ceb6b48a6a6073bf813e406982662d121d2fca4d712dafa2fe54bb47cca075",
+    "duality-screen.json": "caa82ffe8083293959928cd675ed9cb66a584e67f69a7eb410422e6e30b8f1b3",
     "eraser.csv": "14094a85d528e20e393cd7ec01375fb9c7e94c03018d54d3ff389480609afd7d",
     "eraser.json": "2d23a2e08a7d031096a81ff7c482cc5160c6043f6e943d6226068115b5363707",
     "pattern.csv": "683d4189e4c258b854e8f1a164c1ef3f6668c7ef3d4b669ee095ebfdaa2a5003",
     "pattern.json": "23e4bd2ae2be27205603ea8417a8b040797862abd09f64282c26b483928733ab",
-    "uncertainty.csv": "a9ac3c1992e1589e6a1168729163d039f959d9207c958177ec265038e0a6327e",
-    "uncertainty.json": "afd828ce4cfcfb0a1506846073449dcc84cd7b950190f595b43a3d27f0330a25",
+    "uncertainty.csv": "d8a1909b7dfc6c41026c771aca39c04fa4beb35d73b583d1aade918303b24e2e",
+    "uncertainty.json": "812fe7ced73e5f17ab9d7056e60b59b5ba653b243fb3bb15ed551c7423696fb9",
 }
 
 

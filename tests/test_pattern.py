@@ -24,6 +24,7 @@ from whichway import (
     rotated_basis,
     extrema_positions,
 )
+from whichway import pattern
 
 W_STANDARD = 0.005000031582734083  # 5e-3 + 16 pi^2 eps^4/(lam d L), hand-checked
 
@@ -267,3 +268,23 @@ class TestNumericFailurePath:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericFailure):
                 pattern_on_grid(grid, js, mode="closed_form")
+
+    @pytest.mark.parametrize("overlap", [0.0, 0.6])
+    @pytest.mark.parametrize("n_points", [4097, 8193, 16385])
+    def test_residue_relative_to_the_peak_is_clamped(self, standard_geom, overlap, n_points):
+        # the fringe-free branch cancels to about -4e-15 at x = 0, where the
+        # raw peak is about 160: rounding, not a failure
+        js = JointState(standard_geom, make_detector_pair(overlap))
+        grid = ScreenGrid(-0.025, 0.025, n_points)
+        er = conditional_patterns(grid, js, rotated_basis(math.pi / 4))
+        for branch in (er.i_b, er.i_b_perp):
+            assert branch.intensity.min() >= 0.0
+
+    def test_clamp_floor_scales_with_the_largest_raw_value(self):
+        weights = np.full(4, 0.5)
+        ok = [np.array([100.0, -9e-14, 1.0, 0.0]), np.array([0.0, 0.0, 0.0, -5e-15])]
+        pattern._clamp_and_normalize(weights, ok)
+        assert ok[0][1] == 0.0 and ok[1][3] == 0.0
+        for bad in ([np.array([100.0, -2e-13, 1.0, 0.0])], [np.array([0.5, -2e-15, 0.1, 0.0])]):
+            with pytest.raises(NumericFailure, match=r"intensity -2e-1[35] below the clamp floor"):
+                pattern._clamp_and_normalize(weights, bad)

@@ -11,6 +11,7 @@ from whichway import (
     PAULI_Z,
     DetectorPair,
     DetectorState,
+    DetectorStates,
     DichotomicObservable,
     MeasurementBasis,
     ValidationError,
@@ -20,6 +21,7 @@ from whichway import (
     mub_basis,
     rotated_basis,
     state_from_bloch,
+    states_from_bloch,
     sum_uncertainty,
     variance,
 )
@@ -241,3 +243,40 @@ class TestBlochLattice:
 
     def test_single_point(self):
         assert bloch_sphere_lattice(1).shape == (1, 3)
+
+
+class TestDetectorStates:
+    """The array form: one state per entry, the scalar path's numbers."""
+
+    @pytest.mark.parametrize("n", [1, 2, 777, 10000])
+    def test_equals_the_scalar_path_per_point(self, n):
+        # NumPy's trig may differ from the C library's in the last bit
+        lattice = bloch_sphere_lattice(n)
+        states = states_from_bloch(lattice)
+        got = sum_uncertainty(states)
+        want = np.array([sum_uncertainty(state_from_bloch(*row)) for row in lattice]).T
+        for column, ref in zip(got, want):
+            assert column.shape == (n,)
+            np.testing.assert_allclose(column, ref, rtol=0, atol=2e-15)
+        for obs in (PAULI_X, PAULI_Y, PAULI_Z):
+            ref = [obs.expectation(state_from_bloch(*row)) for row in lattice]
+            np.testing.assert_allclose(obs.expectation(states), ref, rtol=0, atol=2e-15)
+
+    def test_variance_clamps_residue_per_state(self):
+        # <sigma_z> of the first state is just above 1
+        states = DetectorStates(np.array([1.0 + 4e-13, SQ]), np.array([0.0, SQ]))
+        np.testing.assert_array_equal(variance(states, PAULI_Z), [0.0, 1.0])
+
+    def test_rejects_a_non_normalized_entry(self):
+        with pytest.raises(ValidationError, match="state 1 not normalized"):
+            DetectorStates(np.array([1.0, 1.0]), np.array([0.0, 1.0]))
+
+    def test_rejects_non_finite_or_mismatched_components(self):
+        with pytest.raises(ValidationError):
+            DetectorStates(np.array([float("nan")]), np.array([0.0]))
+        with pytest.raises(ValidationError):
+            DetectorStates(np.array([1.0, 1.0]), np.array([0.0]))
+
+    def test_rejects_a_non_unit_bloch_vector(self):
+        with pytest.raises(ValidationError, match="bloch vector 1"):
+            states_from_bloch(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.1]]))

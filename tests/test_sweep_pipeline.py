@@ -1,9 +1,11 @@
 """The scan-duality pipeline shares work across sweep values without
 changing a bit: its rows equal per-value duality reports.  The in-package
 envelope fit agrees with NumPy's polyfit, and its polynomial evaluation
-equals polyval bit for bit.  The estimator fits once per pattern: its
-fringe-free verdict on the fitted core agrees with the all-samples
-residual, and its block-split demodulation sum with the direct sum."""
+equals polyval bit for bit.  The estimator fits once and takes at most one
+spectrum per pattern: its fringe-free verdict on the fitted core agrees with
+the all-samples residual, its lobe search starts at the bin NumPy's own
+wavenumbers give, and its block-split demodulation sum agrees with the
+direct sum."""
 import json
 import math
 import warnings
@@ -18,12 +20,13 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from whichway import (  # noqa: E402
-    Geometry, JointState, ScreenGrid, conditional_patterns, default_grid, duality_report,
-    make_detector_pair, pattern_on_grid, rotated_basis,
+    Geometry, JointState, PatternSamples, ScreenGrid, conditional_patterns, default_grid,
+    duality_report, make_detector_pair, pattern_on_grid, rotated_basis,
 )
 from whichway import analysis  # noqa: E402
 from whichway.analysis import (  # noqa: E402
-    FLATNESS_RTOL, _dft_modulus, _horner, _quartic_fit, numeric_visibility, oscillatory_residual,
+    FLATNESS_RTOL, _dft_modulus, _first_bin_from, _horner, _quartic_fit, numeric_visibility,
+    oscillatory_residual,
 )
 from whichway.cli import main  # noqa: E402
 
@@ -154,8 +157,9 @@ def test_block_split_modulus_is_the_direct_sum():
             assert abs(_dft_modulus(r, k * h) - ref) <= 1e-12 * np.sum(np.abs(r))
 
 
-# On the thin-packet geometry, fringe-free patterns pass the spectral
-# screen, so their verdict is the flatness test on the fitted core.
+# The flatness test on the fitted core runs before the spectral screen on
+# every geometry, so it gives every fringe-free verdict here.  The thin-packet
+# geometry is kept because its fringe-free patterns would pass that screen.
 FRINGE_FREE_GEOMETRIES = {"reference": Geometry(5e-7, 1e-4, 1.0, 1e-5),
                           "thin-packets": Geometry(5e-7, 1e-4, 1.0, 5e-6)}
 
@@ -178,6 +182,57 @@ def test_fringe_free_verdict_on_the_core_agrees_with_the_residual(name, phase):
         with mock.patch.object(analysis, "_quartic_fit", wraps=_quartic_fit) as fit:
             assert numeric_visibility(samples) > 0.0
         assert fit.call_count == 1
+
+
+def _counted_visibility(samples):
+    """numeric_visibility of samples, its rfft calls and its envelope fits."""
+    with mock.patch.object(np.fft, "rfft", wraps=np.fft.rfft) as rfft, \
+            mock.patch.object(analysis, "_quartic_fit", wraps=_quartic_fit) as fit:
+        visibility = numeric_visibility(samples)
+    return visibility, rfft.call_count, fit.call_count
+
+
+@pytest.mark.parametrize("name", sorted(FRINGE_FREE_GEOMETRIES))
+def test_one_spectrum_per_fringed_pattern_and_none_per_flat_one(name):
+    geom = FRINGE_FREE_GEOMETRIES[name]
+    grid = default_grid(geom)
+    for phase in (-3.0, 0.3, 3.1):
+        flat = JointState(geom, make_detector_pair(0.0, phase))
+        for mode in ("direct", "closed_form"):
+            assert _counted_visibility(pattern_on_grid(grid, flat, mode)) == (0.0, 0, 1)
+        for overlap in (1e-3, 0.3, 1.0):
+            fringed = JointState(geom, make_detector_pair(overlap, phase))
+            visibility, spectra, fits = _counted_visibility(pattern_on_grid(grid, fringed))
+            assert visibility > 0.0 and (spectra, fits) == (1, 1)
+
+
+def test_moments_reject_a_spike_before_any_fit_or_spectrum():
+    # one sample at x = 0 exactly: the variance is exactly 0
+    grid = ScreenGrid(-1.0, 1.0, 5)
+    spike = PatternSamples(grid, np.array([0.0, 0.0, 2.0, 0.0, 0.0]), 1.0, "direct")
+    assert _counted_visibility(spike) == (0.0, 0, 0)
+
+
+@st.composite
+def bin_searches(draw):
+    """An rfft size, a sample spacing and cutoffs on, next to, between and
+    past the bins' angular wavenumbers."""
+    n = draw(st.integers(2, 20000))
+    spacing = draw(st.floats(1e-12, 1e3))
+    ks = 2.0 * math.pi * np.fft.rfftfreq(n, d=spacing)
+    on = [float(ks[j]) for j in draw(st.lists(st.integers(0, len(ks) - 1), max_size=5))]
+    near = [math.nextafter(k, direction) for k in on for direction in (-math.inf, math.inf)]
+    between = draw(st.lists(st.floats(-1.0, 1.2 * float(ks[-1])), max_size=5))
+    return n, spacing, ks, on + near + between + [math.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(bin_searches())
+def test_first_bin_is_searchsorted_on_the_rfft_wavenumbers(search):
+    n, spacing, ks, cutoffs = search
+    for cutoff in cutoffs:
+        got = _first_bin_from(cutoff, 1.0 / (n * spacing), len(ks))
+        assert got == int(np.searchsorted(ks, cutoff))
 
 
 SWEEP_VALUES = {
