@@ -36,6 +36,9 @@ CLAMP_FLOOR = -1e-15
 _SQRT_HALF = math.sqrt(0.5)
 # the most float64 values one NumPy array can hold
 _MAX_FLOATS = np.iinfo(np.intp).max // 8
+#: Points per block of the elementwise kernels: a block's scratch arrays stay
+#: in cache, so no kernel call makes a grid-sized temporary.
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -179,8 +182,27 @@ def default_grid(geom: Geometry, n_points: int = 8192) -> ScreenGrid:
 
 def _eval_checked(x, fn):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = fn(xs)
+    out = _blockwise(fn, (xs,), 1)
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
+
+
+def _blockwise(fn, arrays, count):
+    """fn(*arrays), evaluated _BLOCK points at a time into count fresh arrays.
+
+    fn maps equally long arrays elementwise to one array (count 1) or to a
+    tuple of count arrays, so every value equals that of one call on all the
+    points.  Up to _BLOCK points it is that one call; beyond, the call holds
+    its outputs and one block's scratch, not grid-sized temporaries.
+    """
+    n = len(arrays[0])
+    if n <= _BLOCK:
+        return fn(*arrays)
+    outs = tuple(np.empty(arrays[0].shape) for _ in range(count))
+    for lo in range(0, n, _BLOCK):
+        parts = fn(*(a[lo:lo + _BLOCK] for a in arrays))
+        for out, part in zip(outs, parts if count > 1 else (parts,)):
+            out[lo:lo + _BLOCK] = part
+    return outs if count > 1 else outs[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,15 +229,16 @@ def _evolve(xs: np.ndarray, geom: Geometry) -> BranchPackets:
     |g_j|^2 = |A_t|^2 exp(-2 Re(q) u_j) and
     conj(g1) g2 = |A_t|^2 exp(-Re(q) (u1 + u2)) exp(i Im(q) (u1 - u2)).
     The phase takes u1 - u2 as (c2 - c1) (2x - c1 - c2), which does not
-    cancel far from the slits.  At most five grid-sized arrays are alive at
-    once.  A geometry too large for the float range gives non-finite values
+    cancel far from the slits.  The four arrays are filled one block at a
+    time.  A geometry too large for the float range gives non-finite values
     without a warning; normalization refuses them.
     """
     prefactor, beta = evolution_constants(geom.packet_width, effective_tau(geom))
     c1, c2 = +0.5 * geom.slit_sep, -0.5 * geom.slit_sep
     q = 1.0 / beta
     amp2 = abs(prefactor) ** 2
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def block(xs):
         phase = np.multiply(xs, 2.0)
         phase -= c1 + c2
         phase *= q.imag * (c2 - c1)
@@ -235,19 +258,26 @@ def _evolve(xs: np.ndarray, geom: Geometry) -> BranchPackets:
         for e in (u1, u2):  # exp(-Re(q) u_j) becomes |g_j|^2
             e *= e
             e *= amp2
-    for arr in (u1, u2, cross_re, cross_im):
+        return u1, u2, cross_re, cross_im
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        arrays = _blockwise(block, (xs,), 4)
+    for arr in arrays:
         arr.flags.writeable = False
-    return BranchPackets(u1, u2, cross_re, cross_im)
+    return BranchPackets(*arrays)
 
 
 def _combine(packets: BranchPackets, w1: float, w2: float, c: complex):
     """2 (w1 |g1|^2 + w2 |g2|^2 + 2 Re(c conj(g1) g2)) as a fresh array."""
-    out = w1 * packets.mod1
-    out += w2 * packets.mod2
-    out += (2.0 * c.real) * packets.cross_re
-    out -= (2.0 * c.imag) * packets.cross_im
-    out *= 2.0
-    return out
+    def block(mod1, mod2, cross_re, cross_im):
+        out = w1 * mod1
+        out += w2 * mod2
+        out += (2.0 * c.real) * cross_re
+        out -= (2.0 * c.imag) * cross_im
+        out *= 2.0
+        return out
+
+    return _blockwise(block, (packets.mod1, packets.mod2, packets.cross_re, packets.cross_im), 1)
 
 
 def intensity_direct(x, js: JointState):
@@ -258,7 +288,8 @@ def intensity_direct(x, js: JointState):
     arithmetic.  Works for any path amplitudes.  x is a position, an array of
     them, or a ScreenGrid: the grid keeps the packets of the last geometry it
     was given, so calls for many detector states on one grid and geometry
-    evolve them once.
+    evolve them once.  On positions the packets are evolved and combined one
+    block at a time and never held for all the points.
     """
     geom = js.geom
     ip = inner_product(js.pair.d1, js.pair.d2)
@@ -286,7 +317,8 @@ def closed_form_parts(x, js: JointState):
     overlap-weighted cosine.  envelope + interference == closed form.
     """
     _require_equal_amps(js)
-    env, intf = _closed_parts(np.atleast_1d(np.asarray(x, dtype=float)), js)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    env, intf = _blockwise(lambda xs: _closed_parts(xs, js), (xs,), 2)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(env[0]), float(intf[0])
     return env, intf
@@ -340,18 +372,20 @@ def _clamp_and_normalize(weights: np.ndarray, branches):
     of their own.  Returns them in order, then that integral.
     """
     for raw in branches:
-        if not np.all(np.isfinite(raw)):
-            raise NumericFailure("non-finite intensity values on the grid")
+        # NaN and -inf show in the minimum, +inf in the maximum
         low = raw.min()
+        if not (math.isfinite(low) and math.isfinite(raw.max())):
+            raise NumericFailure("non-finite intensity values on the grid")
         if low < CLAMP_FLOOR:
-            # the relative floor needs the largest value, only taken here
+            # the relative floor needs the largest value of all the branches
             floor = CLAMP_FLOOR * max(1.0, *(float(b.max()) for b in branches))
             if low < floor:
                 raise NumericFailure(
                     f"intensity {float(low)!r} below the clamp floor {floor!r}; "
                     "this is a bug, not rounding"
                 )
-        raw[raw < 0.0] = 0.0
+        if low < 0.0:  # -0.0 is not below 0 and stays
+            raw[raw < 0.0] = 0.0
     total = float(weights @ reduce(np.add, branches))
     if not (math.isfinite(total) and total > 0.0):
         raise NumericFailure(f"pattern integral {total!r} is not a positive number")

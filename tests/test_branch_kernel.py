@@ -2,12 +2,14 @@
 
 Its kept arrays are |g1|^2, |g2|^2 and conj(g1) g2 of the complex packets;
 the direct route agrees with the closed form and with the four-term complex
-expansion; the eraser branches add up to the direct pattern; and the in-place
-clamp equals the old copying one bit for bit.
+expansion; the eraser branches add up to the direct pattern; the in-place
+clamp equals the old copying one bit for bit; and kernels evaluated in blocks
+equal one evaluation over all the points bit for bit.
 """
 import cmath
 import math
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,10 +20,11 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from whichway import (  # noqa: E402
-    DetectorState, Geometry, JointState, MeasurementBasis, closed_form_parts,
-    conditional_patterns, default_grid, effective_tau, evolved_amplitude, inner_product,
-    intensity_direct, make_detector_pair, pattern_on_grid,
+    DetectorState, Geometry, JointState, MeasurementBasis, ScreenGrid, closed_form_parts,
+    conditional_patterns, default_grid, effective_tau, evolved_amplitude, fringe_width,
+    inner_product, intensity_closed_form, intensity_direct, make_detector_pair, pattern_on_grid,
 )
+from whichway import pattern  # noqa: E402
 from whichway.pattern import CLAMP_FLOOR, _clamp_and_normalize  # noqa: E402
 
 # slit separation 8-20 packet widths and an evolved width of several slit
@@ -156,3 +159,36 @@ def test_in_place_clamp_equals_copying_clamp(data):
     for arr, original, want in zip(got, branches, expected):
         assert arr is original
         assert arr.tobytes() == want.tobytes()
+
+
+def _kernel_bytes(js, equal_js, basis, xs, n_points):
+    """Every kernel's result at xs, and on a fresh n-point grid, as bytes."""
+    results = [intensity_direct(xs, js), intensity_closed_form(xs, equal_js),
+               *closed_form_parts(xs, equal_js)]
+    if n_points >= 2:
+        # resolves the fringes however few its points
+        half = min(5.0, (n_points - 1) / 20.0) * fringe_width(js.geom)
+        results.append(intensity_direct(ScreenGrid(-half, half, n_points), js))
+        er = conditional_patterns(ScreenGrid(-half, half, n_points), js, basis)
+        results += [er.i_b.intensity, er.i_b_perp.intensity, er.i_sum.intensity,
+                    np.array([*er.branch_weights, er.i_b.norm_constant])]
+    if len(xs) == 1:
+        x = float(xs[0])
+        results += [np.float64(intensity_direct(x, js)),
+                    np.float64(intensity_closed_form(x, equal_js)),
+                    np.array(closed_form_parts(x, equal_js))]
+    return [r.tobytes() for r in results]
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+@pytest.mark.parametrize("n_points", [1, 2, 8191, 8192, 8193, 3 * 8192 + 5])
+@settings(max_examples=6, deadline=None)
+@given(geometries, pairs, unequal_amps, bases)
+def test_blocks_are_bit_identical_to_one_block(n_points, shuffled, geom, pair, amps, basis):
+    js, equal_js = JointState(geom, pair, amps), JointState(geom, pair)
+    xs = default_grid(geom, max(n_points, 2)).xs()[:n_points]
+    if shuffled:
+        xs = np.random.default_rng(n_points).permutation(xs)
+    blocked = _kernel_bytes(js, equal_js, basis, xs, n_points)
+    with mock.patch.object(pattern, "_BLOCK", n_points):
+        assert _kernel_bytes(js, equal_js, basis, xs, n_points) == blocked

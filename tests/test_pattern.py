@@ -1,5 +1,6 @@
 """Screen patterns: direct vs closed-form routes, normalization, eraser conditioning."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,3 +289,44 @@ class TestNumericFailurePath:
         for bad in ([np.array([100.0, -2e-13, 1.0, 0.0])], [np.array([0.5, -2e-15, 0.1, 0.0])]):
             with pytest.raises(NumericFailure, match=r"intensity -2e-1[35] below the clamp floor"):
                 pattern._clamp_and_normalize(weights, bad)
+
+    @pytest.mark.parametrize("branch", [0, 1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_fail_in_either_branch(self, bad, branch):
+        # NaN and -inf show in a branch's minimum, +inf only in its maximum
+        branches = [np.array([1.0, 0.5, 0.25, 0.0]), np.array([0.0, 0.25, 0.5, 1.0])]
+        branches[branch][1] = bad
+        with pytest.raises(NumericFailure, match="^non-finite intensity values on the grid$"):
+            pattern._clamp_and_normalize(np.full(4, 0.5), branches)
+
+
+class TestBlockedKernelMemory:
+    """On a grid of many blocks a kernel call holds its outputs and one
+    block's scratch, no grid-sized temporaries (traced by tracemalloc)."""
+
+    N_POINTS = 2**18
+
+    @staticmethod
+    def _traced_peak(call):
+        call()  # the grid's kept packets and weights are made here
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("kernel, bound", [
+        ("direct", 1.5), ("closed_form", 1.5), ("closed_form_parts", 2.5), ("pattern_on_grid", 1.5),
+    ])
+    def test_peak_is_the_outputs_and_block_scratch(self, standard_geom, kernel, bound):
+        js = JointState(standard_geom, make_detector_pair(0.6, 0.3))
+        grid = default_grid(standard_geom, self.N_POINTS)
+        xs = grid.xs()
+        call = {
+            "direct": lambda: intensity_direct(xs, js),
+            "closed_form": lambda: intensity_closed_form(xs, js),
+            "closed_form_parts": lambda: closed_form_parts(xs, js),
+            "pattern_on_grid": lambda: pattern_on_grid(grid, js),
+        }[kernel]
+        assert self._traced_peak(call) <= bound * xs.nbytes
