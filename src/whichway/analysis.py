@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericFailure, ValidationError
 from .packets import Geometry, effective_tau, spread_sigma
 from .pattern import (
     EraserResult,
@@ -97,7 +97,7 @@ class BohrReport:
     ratio: float
 
     def __post_init__(self):
-        if abs(self.ratio - 0.25 / math.pi) > 1e-12:
+        if not abs(self.ratio - 0.25 / math.pi) <= 1e-12:  # NaN included
             raise ValidationError(
                 f"ratio {self.ratio!r} is not the recoil constant 1/4pi"
             )
@@ -541,11 +541,17 @@ def bohr_analysis(geom: Geometry) -> BohrReport:
     the Young fringe pitch is wavelength L / d.  Their ratio is the constant
     1/4pi for every geometry, which is the whole point: the blur is the same
     order as the pitch.  h is Planck's constant at its exact 2019 SI value.
+    Raises NumericFailure when a number overflows or the pitch underflows.
     """
     lam, d, dist = geom.wavelength, geom.slit_sep, geom.screen_dist
     delta_px = (PLANCK_H / lam) * (d / dist)
     delta_x = lam * dist / (4.0 * math.pi * d)
     fringe_sep = lam * dist / d
+    for name, value in (("delta_px", delta_px), ("delta_x", delta_x), ("fringe_sep", fringe_sep)):
+        if not math.isfinite(value):
+            raise NumericFailure(f"non-finite {name} in recoil report")
+    if fringe_sep == 0.0:
+        raise NumericFailure("fringe_sep underflows to 0 in recoil report")
     return BohrReport(
         delta_px=delta_px,
         delta_x=delta_x,

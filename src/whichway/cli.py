@@ -226,18 +226,13 @@ def _cmd_pattern(args) -> tuple[RunConfig, dict]:
 def _cmd_scan_duality(args) -> tuple[RunConfig, dict]:
     base, param, values = load_sweep_config(args.config)
     overlaps, reports = [], []
-    grid = last_geometry = None
     for value in values:
         if param in ("overlap", "phase"):
             run = replace(base, **{param: value})
         else:
             run = replace(base, geometry=replace(base.geometry, **{param: value}))
         pair = make_detector_pair(run.overlap, run.phase)
-        if run.geometry != last_geometry:
-            # one grid per run of equal geometries: it keeps the positions
-            # and evolved packets that every value of the run shares
-            grid = base.grid or default_grid(run.geometry)
-            last_geometry = run.geometry
+        grid = base.grid or default_grid(run.geometry)
         overlaps.append(pair.overlap_mag)
         with _sized(f"a grid of {grid.n_points} points"):
             reports.append(duality_report(run.geometry, pair, grid))
@@ -277,11 +272,7 @@ def _cmd_uncertainty_scan(args) -> tuple[None, dict]:
 
 def _cmd_bohr(args) -> tuple[RunConfig, dict]:
     cfg = load_run_config(args.config)
-    columns = asdict(bohr_analysis(cfg.geometry))
-    for name, value in columns.items():
-        if not math.isfinite(value):
-            raise NumericFailure(f"non-finite {name} in recoil report")
-    return cfg, columns
+    return cfg, asdict(bohr_analysis(cfg.geometry))
 
 
 # ---------------------------------------------------------------------------

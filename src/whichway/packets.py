@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-_QUARTER_ROOT_8PI = (8.0 * math.pi) ** -0.25
-
 
 def _require_positive(name: str, value: float) -> float:
     v = float(value)
@@ -63,19 +61,6 @@ def spread_sigma(eps: float, tau: float) -> float:
     return math.hypot(eps, tau / (2.0 * eps))
 
 
-def initial_amplitude(x, center: float, eps: float):
-    """Real amplitude of the packet at the slit plane.
-
-    (8 pi eps^2)^(-1/4) exp(-(x-center)^2 / 4 eps^2); each packet's intensity
-    integrates to 1/2 in this prefactor convention, so the two-packet joint
-    state totals ~1.  Accepts scalars or arrays.
-    """
-    eps = _require_positive("eps", eps)
-    x = np.asarray(x, dtype=float)
-    out = _QUARTER_ROOT_8PI / math.sqrt(eps) * np.exp(-((x - center) ** 2) / (4.0 * eps * eps))
-    return out if out.ndim else float(out)
-
-
 def evolution_constants(eps: float, tau: float) -> tuple[complex, complex]:
     """(A_t, beta) of the evolved packet A_t exp(-(x-center)^2 / beta).
 
@@ -94,32 +79,11 @@ def evolved_amplitude(x, center: float, eps: float, tau: float):
     """Complex amplitude of the packet after accumulating evolution ``tau``.
 
     A_t exp(-(x-center)^2 / beta) with A_t and beta from
-    :func:`evolution_constants`.  At tau = 0 the modulus reduces to
-    :func:`initial_amplitude`.  Negative tau is allowed (it yields the
-    complex conjugate, a time-reversal check); accepts scalars or arrays.
+    :func:`evolution_constants`; its intensity integrates to 1/2.  Negative
+    tau is allowed (it yields the complex conjugate, a time-reversal check);
+    accepts scalars or arrays.
     """
     prefactor, beta = evolution_constants(eps, tau)
     x = np.asarray(x, dtype=float)
     out = prefactor * np.exp(-((x - center) ** 2) / beta)
     return out if out.ndim else complex(out)
-
-
-@dataclass(frozen=True)
-class PropagationContext:
-    """Evolution parameter and the packet width it produces."""
-
-    tau: float
-    sigma_t: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau >= 0.0):
-            raise ValidationError(f"tau must be non-negative and finite, got {self.tau!r}")
-        _require_positive("sigma_t", self.sigma_t)
-
-    @classmethod
-    def for_packet(cls, eps: float, tau: float) -> "PropagationContext":
-        return cls(tau=float(tau), sigma_t=spread_sigma(eps, tau))
-
-    @classmethod
-    def from_geometry(cls, geom: Geometry) -> "PropagationContext":
-        return cls.for_packet(geom.packet_width, effective_tau(geom))

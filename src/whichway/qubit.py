@@ -189,9 +189,6 @@ PAULI_X = DichotomicObservable((1.0, 0.0, 0.0))
 PAULI_Y = DichotomicObservable((0.0, 1.0, 0.0))
 PAULI_Z = DichotomicObservable((0.0, 0.0, 1.0))
 
-#: The pointer observable whose eigenstates label the two slits.
-WHICH_WAY_OBSERVABLE = PAULI_Z
-
 
 def variance(state: DetectorState | DetectorStates, obs: DichotomicObservable):
     """Variance of a dichotomic observable in a pure state: 1 - <n.sigma>^2,
@@ -277,26 +274,13 @@ def bloch_sphere_lattice(n: int) -> np.ndarray:
 
 
 def state_from_bloch(n1: float, n2: float, n3: float) -> DetectorState:
-    """Pure state with Bloch vector (n1, n2, n3)."""
-    norm = math.sqrt(n1 * n1 + n2 * n2 + n3 * n3)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValidationError(f"bloch vector must be unit length, |n| = {norm!r}")
-    polar = math.acos(min(1.0, max(-1.0, n3)))
-    azimuth = math.atan2(n2, n1)
-    return DetectorState(
-        math.cos(polar / 2.0),
-        math.sin(polar / 2.0) * cmath.exp(1j * azimuth),
-    )
+    """Pure state with Bloch vector (n1, n2, n3): row 0 of states_from_bloch."""
+    states = states_from_bloch(np.array([[n1, n2, n3]], dtype=float))
+    return DetectorState(complex(states.c1[0]), complex(states.c2[0]))
 
 
 def states_from_bloch(bloch: np.ndarray) -> DetectorStates:
-    """The states of state_from_bloch for every row of an (n, 3) array of
-    Bloch vectors, by the same formulas in NumPy.
-
-    NumPy's cos, sin, arccos and arctan2 may differ from the C library's in
-    the last bit, so entries can differ from state_from_bloch's by a few
-    ulps.
-    """
+    """Pure states with the Bloch vectors in the rows of an (n, 3) array."""
     n1, n2, n3 = np.asarray(bloch, dtype=float).T
     norm = np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)
     bad = np.flatnonzero(~(np.abs(norm - 1.0) <= 1e-9))

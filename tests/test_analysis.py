@@ -212,6 +212,14 @@ class TestBohrAnalysis:
             )
             assert bohr_analysis(geom).ratio == pytest.approx(1 / (4 * math.pi), abs=1e-12)
 
+    def test_underflowing_pitch_is_numeric_failure(self):
+        from whichway import NumericFailure
+
+        # lambda L underflows to 0 while delta_px stays finite (about 6.6e290)
+        geom = Geometry(wavelength=1e-200, slit_sep=1.0, screen_dist=1e-124, packet_width=1e-5)
+        with pytest.raises(NumericFailure, match="fringe_sep"):
+            bohr_analysis(geom)
+
     def test_minimum_uncertainty_product(self, standard_geom):
         rep = bohr_analysis(standard_geom)
         assert rep.delta_px * rep.delta_x == pytest.approx(constants.hbar / 2, rel=1e-13)
@@ -223,6 +231,12 @@ class TestReportInvariants:
 
         with pytest.raises(ValidationError):
             BohrReport(delta_px=1.0, delta_x=1.0, fringe_sep=1.0, ratio=1.0)
+
+    def test_bohr_report_rejects_nan_ratio(self):
+        from whichway import BohrReport, ValidationError
+
+        with pytest.raises(ValidationError):
+            BohrReport(delta_px=1.0, delta_x=1.0, fringe_sep=1.0, ratio=float("nan"))
 
     def test_duality_report_rejects_impossible_variances(self):
         from whichway import DualityReport, ValidationError

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import whichway
 from whichway.cli import main
 
 STANDARD_GEOMETRY = {
@@ -19,6 +20,14 @@ STANDARD_GEOMETRY = {
 # thinner packets: the envelope spans ~8 fringes, extrema sit on the ideal lattice
 SEPARATED_GEOMETRY = dict(STANDARD_GEOMETRY, packet_width=1e-6)
 W_STANDARD = 0.005000031582734083
+# in-schema geometries whose fringe width or recoil numbers leave the float
+# range: eps**4 overflows (H1), lambda*d*L underflows (H2), lambda*L
+# overflows (H3)
+OUT_OF_RANGE_GEOMETRIES = {
+    "H1": {"lambda_d": 1e-5, "slit_sep": 1e306, "screen_dist": 1.0, "packet_width": 1e300},
+    "H2": {"lambda_d": 1e-300, "slit_sep": 1e-4, "screen_dist": 1e-300, "packet_width": 1e-5},
+    "H3": {"lambda_d": 1e300, "slit_sep": 1e-4, "screen_dist": 1e300, "packet_width": 1e-5},
+}
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -148,6 +157,25 @@ class TestPattern:
     def test_overflowing_packets_are_one_numeric_failure(self, tmp_path, capsys, command):
         # the evolved packets' exponents overflow: no NumPy warning on the way
         geometry = dict(STANDARD_GEOMETRY, lambda_d=1e300)
+        cfg = write_config(tmp_path, geometry=geometry, eraser={"enabled": True})
+        if command == "scan-duality":
+            cfg.write_text(json.dumps({"base": {"geometry": geometry, "detector": {"overlap": 1.0}},
+                                       "sweep_param": "overlap", "values": [0.5]}))
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, geometry", [
+        *((command, name) for name in OUT_OF_RANGE_GEOMETRIES
+          for command in ("pattern", "eraser", "scan-duality")),
+        ("bohr", "H2"),
+    ])
+    def test_out_of_range_fringe_numbers_are_one_numeric_failure(self, tmp_path, capsys,
+                                                                 command, geometry):
+        geometry = OUT_OF_RANGE_GEOMETRIES[geometry]
         cfg = write_config(tmp_path, geometry=geometry, eraser={"enabled": True})
         if command == "scan-duality":
             cfg.write_text(json.dumps({"base": {"geometry": geometry, "detector": {"overlap": 1.0}},
@@ -412,6 +440,29 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "pattern" in proc.stdout and "scan-duality" in proc.stdout
+
+    @pytest.mark.parametrize("job", ["screen_dist-sweep", "overlap-sweep", "pattern"])
+    def test_console_entry_point_writes_what_main_writes(self, tmp_path, capsys, job):
+        # run() sets glibc's malloc thresholds before main; the bytes must not move
+        run = {"geometry": dict(STANDARD_GEOMETRY), "detector": {"overlap": 0.6, "phase": 0.3}}
+        cfg = tmp_path / "config.json"
+        if job == "pattern":
+            argv = ["pattern", "--config", str(cfg)]
+            cfg.write_text(json.dumps(run))
+        else:
+            param = job.split("-")[0]
+            values = [0.5, 1.0, 2.0] if param == "screen_dist" else [0.0, 0.4, 1.0]
+            argv = ["scan-duality", "--config", str(cfg)]
+            cfg.write_text(json.dumps({"base": run, "sweep_param": param, "values": values}))
+        src = os.path.dirname(os.path.dirname(whichway.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "whichway", *argv],
+                              capture_output=True, env=env)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (proc.returncode, proc.stderr) == (code, captured.err.encode()) == (0, b"")
+        assert proc.stdout == captured.out.encode()
 
     def test_subcommand_help(self):
         for name in ("pattern", "scan-duality", "eraser", "uncertainty-scan", "bohr"):

@@ -7,11 +7,9 @@ import pytest
 
 from whichway import (
     Geometry,
-    PropagationContext,
     ValidationError,
     effective_tau,
     evolved_amplitude,
-    initial_amplitude,
     spread_sigma,
 )
 
@@ -45,37 +43,30 @@ class TestEffectiveTau:
         assert effective_tau(near) < 1e-18
 
 
-class TestInitialAmplitude:
-    def test_peak_value(self):
-        expected = (8 * math.pi * EPS**2) ** -0.25
-        assert initial_amplitude(0.3, 0.3, EPS) == pytest.approx(expected, rel=1e-15)
-
-    def test_even_symmetry(self):
-        for delta in (1e-6, 5e-6, 3e-5):
-            assert initial_amplitude(0.1 + delta, 0.1, EPS) == pytest.approx(
-                initial_amplitude(0.1 - delta, 0.1, EPS), rel=1e-14
-            )
-
-    def test_integrates_to_one_half(self):
-        # trapezoid oracle on a dense grid; the prefactor convention puts 1/2
-        # in each packet so the two-branch state totals ~1
-        xs = np.linspace(-10 * EPS, 10 * EPS, 40001)
-        total = np.trapezoid(initial_amplitude(xs, 0.0, EPS) ** 2, xs)
-        assert total == pytest.approx(0.5, abs=1e-10)
-
-    def test_strictly_positive(self):
-        xs = np.linspace(-20 * EPS, 20 * EPS, 101)
-        assert np.all(initial_amplitude(xs, 0.0, EPS) > 0)
+def slit_plane_packet(xs, center, eps):
+    """(8 pi eps^2)^(-1/4) exp(-(x - center)^2 / 4 eps^2)."""
+    return (8 * math.pi * eps**2) ** -0.25 * np.exp(-((xs - center) ** 2) / (4 * eps**2))
 
 
 class TestEvolvedAmplitude:
-    def test_no_evolution_matches_initial(self):
+    def test_slit_plane_peak_value(self):
+        expected = (8 * math.pi * EPS**2) ** -0.25
+        assert abs(evolved_amplitude(0.3, 0.3, EPS, 0.0)) == pytest.approx(expected, rel=1e-15)
+
+    def test_slit_plane_modulus_is_the_gaussian(self):
         xs = np.linspace(-5 * EPS, 5 * EPS, 101)
         np.testing.assert_allclose(
             np.abs(evolved_amplitude(xs, 0.0, EPS, 0.0)),
-            initial_amplitude(xs, 0.0, EPS),
+            slit_plane_packet(xs, 0.0, EPS),
             rtol=1e-12,
         )
+
+    def test_slit_plane_packet_integrates_to_one_half(self):
+        # trapezoid oracle on a dense grid; the prefactor convention puts 1/2
+        # in each packet so the two-branch state totals ~1
+        xs = np.linspace(-10 * EPS, 10 * EPS, 40001)
+        total = np.trapezoid(np.abs(evolved_amplitude(xs, 0.0, EPS, 0.0)) ** 2, xs)
+        assert total == pytest.approx(0.5, abs=1e-10)
 
     def test_peak_decreases_with_spreading(self):
         taus = [0.0, 1e-10, 1e-9, 1e-8, TAU]
@@ -127,14 +118,3 @@ class TestSpreadSigma:
     def test_never_below_initial_width(self, rng):
         for tau in rng.uniform(0, 1e-6, size=50):
             assert spread_sigma(EPS, tau) >= EPS
-
-
-class TestPropagationContext:
-    def test_consistency(self, standard_geom):
-        ctx = PropagationContext.from_geometry(standard_geom)
-        assert ctx.tau == pytest.approx(TAU, rel=1e-12)
-        assert ctx.sigma_t**2 == pytest.approx(EPS**2 + (ctx.tau / (2 * EPS)) ** 2, rel=1e-12)
-
-    def test_rejects_negative_tau(self):
-        with pytest.raises(ValidationError):
-            PropagationContext(tau=-1e-9, sigma_t=1e-3)

@@ -250,7 +250,8 @@ class TestDetectorStates:
 
     @pytest.mark.parametrize("n", [1, 2, 777, 10000])
     def test_equals_the_scalar_path_per_point(self, n):
-        # NumPy's trig may differ from the C library's in the last bit
+        # the states are the same bits (see the next test), but NumPy's
+        # complex abs may differ from Python's in the last bit
         lattice = bloch_sphere_lattice(n)
         states = states_from_bloch(lattice)
         got = sum_uncertainty(states)
@@ -261,6 +262,14 @@ class TestDetectorStates:
         for obs in (PAULI_X, PAULI_Y, PAULI_Z):
             ref = [obs.expectation(state_from_bloch(*row)) for row in lattice]
             np.testing.assert_allclose(obs.expectation(states), ref, rtol=0, atol=2e-15)
+
+    def test_state_from_bloch_is_a_row_of_states_from_bloch(self):
+        lattice = bloch_sphere_lattice(10000)
+        states = states_from_bloch(lattice)
+        scalar = [state_from_bloch(*row) for row in lattice]
+        assert all(isinstance(st.c1, complex) and isinstance(st.c2, complex) for st in scalar)
+        np.testing.assert_array_equal([st.c1 for st in scalar], states.c1)
+        np.testing.assert_array_equal([st.c2 for st in scalar], states.c2)
 
     def test_variance_clamps_residue_per_state(self):
         # <sigma_z> of the first state is just above 1

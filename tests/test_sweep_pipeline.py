@@ -5,7 +5,8 @@ equals polyval bit for bit.  The estimator fits once and takes at most one
 spectrum per pattern: its fringe-free verdict on the fitted core agrees with
 the all-samples residual, its lobe search starts at the bin NumPy's own
 wavenumbers give, and its block-split demodulation sum agrees with the
-direct sum."""
+direct sum.  default_grid keeps the last grid it made, so duality reports
+for many detector states on one geometry evolve the packets once."""
 import json
 import math
 import warnings
@@ -23,7 +24,7 @@ from whichway import (  # noqa: E402
     Geometry, JointState, PatternSamples, ScreenGrid, conditional_patterns, default_grid,
     duality_report, make_detector_pair, pattern_on_grid, rotated_basis,
 )
-from whichway import analysis  # noqa: E402
+from whichway import analysis, pattern  # noqa: E402
 from whichway.analysis import (  # noqa: E402
     FLATNESS_RTOL, _dft_modulus, _first_bin_from, _horner, _quartic_fit, numeric_visibility,
     oscillatory_residual,
@@ -273,7 +274,7 @@ def _reference(sweep, value):
     geometry = Geometry(geo["lambda_d"], geo["slit_sep"], geo["screen_dist"],
                         geo["packet_width"])
     pair = make_detector_pair(overlap, phase)
-    grid = ScreenGrid(**base["grid"]) if "grid" in base else default_grid(geometry)
+    grid = ScreenGrid(**base["grid"]) if "grid" in base else default_grid.__wrapped__(geometry)
     return pair.overlap_mag, duality_report(geometry, pair, grid)
 
 
@@ -316,3 +317,29 @@ def test_shared_grid_patterns_equal_fresh_grid_patterns():
         ref = conditional_patterns(fresh, js, rotated_basis(angle))
         for name in ("i_b", "i_b_perp", "i_sum"):
             assert _bits(getattr(got, name).intensity) == _bits(getattr(ref, name).intensity)
+
+
+def test_default_grid_is_kept_until_other_arguments():
+    near = Geometry(5e-7, 1e-4, 1.0, 1e-5)
+    grid = default_grid(near)
+    assert default_grid(near) is grid
+    assert default_grid(Geometry(5e-7, 1e-4, 1.0, 1e-5)) is grid  # an equal geometry
+    other = default_grid(Geometry(5e-7, 1e-4, 2.0, 1e-5))
+    assert other is not grid and other.x_max != grid.x_max
+    assert default_grid(near) is not grid  # the cache holds one grid
+
+
+def test_duality_reports_on_one_geometry_evolve_the_packets_once():
+    # a geometry no other test uses, so no grid with its packets is kept yet
+    geom = Geometry(5.5e-7, 1.1e-4, 1.3, 1e-5)
+    pairs = [make_detector_pair(s, theta)
+             for s, theta in ((0.0, 0.0), (0.3, 1.1), (0.6, 0.3), (0.9, -2.0), (1.0, 3.0))]
+    with mock.patch.object(pattern, "_evolve", wraps=pattern._evolve) as evolve:
+        reports = [duality_report(geom, pair) for pair in pairs]
+    assert evolve.call_count == 1
+    kept = default_grid(geom)
+    for pair, report in zip(pairs, reports):
+        fresh = ScreenGrid(kept.x_min, kept.x_max, kept.n_points)
+        ref = duality_report(geom, pair, fresh)
+        for name in COLUMNS[1:]:
+            assert _bits(getattr(report, name)) == _bits(getattr(ref, name))
