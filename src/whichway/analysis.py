@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,9 +56,11 @@ PLANCK_H = 6.62607015e-34
 class DualityReport:
     """Distinguishability/visibility figures plus both duality inequalities.
 
-    The ok flags must match the stored numbers, and the uncertainty-derived
-    right side can never exceed 1 for a pure detector state (that is the sum
-    uncertainty at work); construction enforces both.
+    The ok flags are derived from the numbers: egy_ok checks
+    D^2 + V^2 = lhs <= 1, unc_ok the uncertainty-derived bound
+    lhs <= rhs_unc, both within DUALITY_TOL.  The uncertainty-derived right
+    side can never exceed 1 for a pure detector state (that is the sum
+    uncertainty at work); construction enforces it.
     """
 
     D: float
@@ -68,8 +70,8 @@ class DualityReport:
     dQ2: float
     lhs: float
     rhs_unc: float
-    egy_ok: bool
-    unc_ok: bool
+    egy_ok: bool = field(init=False)
+    unc_ok: bool = field(init=False)
 
     def __post_init__(self):
         if self.rhs_unc > 1.0 + 1e-12:
@@ -77,30 +79,28 @@ class DualityReport:
                 f"rhs_unc = {self.rhs_unc!r} exceeds 1: variances inconsistent "
                 "with a pure detector state"
             )
-        if self.egy_ok != (self.lhs <= 1.0 + DUALITY_TOL):
-            raise ValidationError("egy_ok flag inconsistent with lhs")
-        if self.unc_ok != (self.lhs <= self.rhs_unc + DUALITY_TOL):
-            raise ValidationError("unc_ok flag inconsistent with lhs and rhs_unc")
+        object.__setattr__(self, "egy_ok", bool(self.lhs <= 1.0 + DUALITY_TOL))
+        object.__setattr__(self, "unc_ok", bool(self.lhs <= self.rhs_unc + DUALITY_TOL))
 
 
 @dataclass(frozen=True)
 class BohrReport:
     """Back-of-envelope recoil bookkeeping in SI units.
 
-    The blur-to-pitch ratio is the geometry-free constant 1/4pi; construction
-    rejects anything else.
+    The blur-to-pitch ratio delta_x / fringe_sep is derived, and is the
+    geometry-free constant 1/4pi; construction rejects anything else.
     """
 
     delta_px: float
     delta_x: float
     fringe_sep: float
-    ratio: float
+    ratio: float = field(init=False)
 
     def __post_init__(self):
-        if not abs(self.ratio - 0.25 / math.pi) <= 1e-12:  # NaN included
-            raise ValidationError(
-                f"ratio {self.ratio!r} is not the recoil constant 1/4pi"
-            )
+        ratio = self.delta_x / self.fringe_sep
+        if not abs(ratio - 0.25 / math.pi) <= 1e-12:  # NaN included
+            raise ValidationError(f"ratio {ratio!r} is not the recoil constant 1/4pi")
+        object.__setattr__(self, "ratio", ratio)
 
 
 def distinguishability(pair: DetectorPair) -> float:
@@ -340,9 +340,12 @@ def _demodulate(grid: ScreenGrid, ys: np.ndarray, peak: float):
     total = float(np.sum(a))
     if total <= 0.0:
         return None
-    mean = float(a @ xs) / total
-    b = np.subtract(xs, mean)
-    var = float(a @ np.square(b)) / total
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(a @ xs) / total
+        b = np.subtract(xs, mean)
+        var = float(a @ np.square(b)) / total
+    if not math.isfinite(var):
+        raise NumericFailure(f"pattern variance {var!r} m^2 is outside the float range")
     if var <= 0.0:
         return None
     # Remove the smooth envelope before measuring the lobe.  Fit and residual
@@ -504,9 +507,8 @@ def duality_report(geom: Geometry, pair: DetectorPair,
 
     V_numeric comes from the sampled pattern (direct route); dP2 is the
     pointer-observable variance in a detector state, dQ2 the eraser
-    observable's variance in the path-weighted detector ensemble.  egy_ok
-    checks D^2 + V^2 <= 1, unc_ok the uncertainty-derived bound
-    D^2 + V^2 <= 2 - (dP2 + dQ2).
+    observable's variance in the path-weighted detector ensemble, so the
+    uncertainty-derived bound is D^2 + V^2 <= 2 - (dP2 + dQ2).
     """
     if grid is None:
         grid = default_grid(geom)
@@ -528,8 +530,6 @@ def duality_report(geom: Geometry, pair: DetectorPair,
         dQ2=float(dq2),
         lhs=float(lhs),
         rhs_unc=float(rhs_unc),
-        egy_ok=bool(lhs <= 1.0 + DUALITY_TOL),
-        unc_ok=bool(lhs <= rhs_unc + DUALITY_TOL),
     )
 
 
@@ -552,9 +552,4 @@ def bohr_analysis(geom: Geometry) -> BohrReport:
             raise NumericFailure(f"non-finite {name} in recoil report")
     if fringe_sep == 0.0:
         raise NumericFailure("fringe_sep underflows to 0 in recoil report")
-    return BohrReport(
-        delta_px=delta_px,
-        delta_x=delta_x,
-        fringe_sep=fringe_sep,
-        ratio=delta_x / fringe_sep,
-    )
+    return BohrReport(delta_px=delta_px, delta_x=delta_x, fringe_sep=fringe_sep)

@@ -31,6 +31,7 @@ from .pattern import (
     pattern_on_grid,
 )
 from .qubit import (
+    DetectorPair,
     bloch_sphere_lattice,
     make_detector_pair,
     rotated_basis,
@@ -175,22 +176,23 @@ def load_run_config(path: str) -> RunConfig:
     return _run_config_from_dict(_load_json(path))
 
 
-def load_sweep_config(path: str) -> tuple[RunConfig, str, list[float]]:
+def load_sweep_config(path: str) -> tuple[RunConfig, list[tuple[Geometry, DetectorPair]]]:
+    """The base config, and the geometry and detector pair of every sweep
+    value, all built (so all checked) before anything is evaluated."""
     raw = _load_json(path)
     error = schema_error(raw, _SWEEP_SCHEMA)
     if error is not None:
         raise ValidationError(f"sweep config rejected by schema: {error}")
     base = _run_config_from_dict(raw["base"])
     param = raw["sweep_param"]
-    values = [float(v) for v in raw["values"]]
-    for v in values:
-        if param == "overlap" and not 0.0 <= v <= 1.0:
-            raise ValidationError(f"sweep overlap value {v!r} outside [0, 1]")
-        if param in ("packet_width", "screen_dist") and v <= 0.0:
-            raise ValidationError(f"sweep {param} value {v!r} must be positive")
-        if not math.isfinite(v):
-            raise ValidationError(f"sweep value {v!r} is not finite")
-    return base, param, values
+    runs = []
+    for value in map(float, raw["values"]):
+        if param in ("overlap", "phase"):
+            run = replace(base, **{param: value})
+        else:
+            run = replace(base, geometry=replace(base.geometry, **{param: value}))
+        runs.append((run.geometry, make_detector_pair(run.overlap, run.phase)))
+    return base, runs
 
 
 @contextmanager
@@ -224,19 +226,13 @@ def _cmd_pattern(args) -> tuple[RunConfig, dict]:
 
 
 def _cmd_scan_duality(args) -> tuple[RunConfig, dict]:
-    base, param, values = load_sweep_config(args.config)
-    overlaps, reports = [], []
-    for value in values:
-        if param in ("overlap", "phase"):
-            run = replace(base, **{param: value})
-        else:
-            run = replace(base, geometry=replace(base.geometry, **{param: value}))
-        pair = make_detector_pair(run.overlap, run.phase)
-        grid = base.grid or default_grid(run.geometry)
-        overlaps.append(pair.overlap_mag)
+    base, runs = load_sweep_config(args.config)
+    reports = []
+    for geometry, pair in runs:
+        grid = base.grid or default_grid(geometry)
         with _sized(f"a grid of {grid.n_points} points"):
-            reports.append(duality_report(run.geometry, pair, grid))
-    columns = {"s": overlaps}
+            reports.append(duality_report(geometry, pair, grid))
+    columns = {"s": [pair.overlap_mag for _, pair in runs]}
     for field in fields(DualityReport):
         columns[field.name] = [getattr(rep, field.name) for rep in reports]
     return base, columns

@@ -66,12 +66,14 @@ def evolution_constants(eps: float, tau: float) -> tuple[complex, complex]:
 
     beta = 4 eps^2 + 2 i tau and
     A_t = (1/sqrt2) [sqrt(2 pi) (eps + i tau / 2 eps)]^(-1/2), principal
-    branch.
+    branch.  Past the float range A_t is not finite, without a warning.
     """
     eps = _require_positive("eps", eps)
     if not math.isfinite(tau):
         raise ValidationError(f"tau must be finite, got {tau!r}")
-    prefactor = 1.0 / math.sqrt(2.0) / np.sqrt(math.sqrt(2.0 * math.pi) * (eps + 0.5j * tau / eps))
+    with np.errstate(all="ignore"):
+        prefactor = 1.0 / math.sqrt(2.0) / np.sqrt(
+            math.sqrt(2.0 * math.pi) * (eps + 0.5j * tau / eps))
     return complex(prefactor), 4.0 * eps * eps + 2.0j * tau
 
 

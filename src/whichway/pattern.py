@@ -194,10 +194,14 @@ def default_grid(geom: Geometry, n_points: int = 8192) -> ScreenGrid:
     return ScreenGrid(-half_span, half_span, n_points)
 
 
-def _eval_checked(x, fn):
+def _eval_checked(x, fn, count=1):
+    """fn at a position or an array of them, through _blockwise: floats for
+    a position, arrays for an array."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _blockwise(fn, (xs,), 1)
-    return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
+    out = _blockwise(fn, (xs,), count)
+    if np.isscalar(x) or np.ndim(x) == 0:
+        return float(out[0]) if count == 1 else tuple(float(o[0]) for o in out)
+    return out
 
 
 def _blockwise(fn, arrays, count):
@@ -207,15 +211,18 @@ def _blockwise(fn, arrays, count):
     tuple of count arrays, so every value equals that of one call on all the
     points.  Up to _BLOCK points it is that one call; beyond, the call holds
     its outputs and one block's scratch, not grid-sized temporaries.
+    Values that leave the float range come out non-finite without a
+    warning; normalization refuses them.
     """
     n = len(arrays[0])
-    if n <= _BLOCK:
-        return fn(*arrays)
-    outs = tuple(np.empty(arrays[0].shape) for _ in range(count))
-    for lo in range(0, n, _BLOCK):
-        parts = fn(*(a[lo:lo + _BLOCK] for a in arrays))
-        for out, part in zip(outs, parts if count > 1 else (parts,)):
-            out[lo:lo + _BLOCK] = part
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n <= _BLOCK:
+            return fn(*arrays)
+        outs = tuple(np.empty(arrays[0].shape) for _ in range(count))
+        for lo in range(0, n, _BLOCK):
+            parts = fn(*(a[lo:lo + _BLOCK] for a in arrays))
+            for out, part in zip(outs, parts if count > 1 else (parts,)):
+                out[lo:lo + _BLOCK] = part
     return outs if count > 1 else outs[0]
 
 
@@ -244,10 +251,11 @@ def _evolve(xs: np.ndarray, geom: Geometry) -> BranchPackets:
     conj(g1) g2 = |A_t|^2 exp(-Re(q) (u1 + u2)) exp(i Im(q) (u1 - u2)).
     The phase takes u1 - u2 as (c2 - c1) (2x - c1 - c2), which does not
     cancel far from the slits.  The four arrays are filled one block at a
-    time.  A geometry too large for the float range gives non-finite values
-    without a warning; normalization refuses them.
+    time.  Raises NumericFailure when beta underflows to 0.
     """
     prefactor, beta = evolution_constants(geom.packet_width, effective_tau(geom))
+    if beta == 0:
+        raise NumericFailure("the evolved packets' beta underflows to 0 for this geometry")
     c1, c2 = +0.5 * geom.slit_sep, -0.5 * geom.slit_sep
     q = 1.0 / beta
     amp2 = abs(prefactor) ** 2
@@ -274,8 +282,7 @@ def _evolve(xs: np.ndarray, geom: Geometry) -> BranchPackets:
             e *= amp2
         return u1, u2, cross_re, cross_im
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        arrays = _blockwise(block, (xs,), 4)
+    arrays = _blockwise(block, (xs,), 4)
     for arr in arrays:
         arr.flags.writeable = False
     return BranchPackets(*arrays)
@@ -331,11 +338,7 @@ def closed_form_parts(x, js: JointState):
     overlap-weighted cosine.  envelope + interference == closed form.
     """
     _require_equal_amps(js)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    env, intf = _blockwise(lambda xs: _closed_parts(xs, js), (xs,), 2)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(env[0]), float(intf[0])
-    return env, intf
+    return _eval_checked(x, lambda xs: _closed_parts(xs, js), 2)
 
 
 def _closed_parts(xs: np.ndarray, js: JointState):
@@ -347,9 +350,11 @@ def _closed_parts(xs: np.ndarray, js: JointState):
     try:
         sig2 = eps * eps + (tau / (2.0 * eps)) ** 2
         kap = slit_sep * tau / (4.0 * eps**4 + tau * tau)
+        pref = 1.0 / math.sqrt(2.0 * math.pi * sig2)
     except OverflowError:  # a float power past the float range raises
         raise NumericFailure("the closed form's spread overflows for this geometry") from None
-    pref = 1.0 / math.sqrt(2.0 * math.pi * sig2)
+    except ZeroDivisionError:  # and so does a division by a float that underflows to 0
+        raise NumericFailure("the closed form's spread underflows for this geometry") from None
     gauss = pref * np.exp(-(xs * xs + 0.25 * slit_sep * slit_sep) / (2.0 * sig2))
     envelope = gauss * np.cosh(xs * slit_sep / (2.0 * sig2))
     interference = gauss * (js.pair.overlap_mag * np.cos(kap * xs - js.pair.overlap_phase))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,25 +97,21 @@ def inner_product(a: DetectorState, b: DetectorState) -> complex:
 class DetectorPair:
     """The two correlated detector states, one per slit.
 
-    d2 carries the conjugate-swapped components of d1, which covers every
-    possible mutual overlap of two normalized states.  overlap_mag is
-    |<d1|d2>| and overlap_phase is arg<d2|d1>; both are checked against the
-    stored states at construction.
+    d2 is derived from d1: it carries d1's conjugate-swapped components,
+    which covers every possible mutual overlap of two normalized states.
+    overlap_mag is |<d1|d2>| and overlap_phase is arg<d2|d1>; both are
+    checked against the states at construction.
     """
 
     d1: DetectorState
-    d2: DetectorState
+    d2: DetectorState = field(init=False)
     overlap_mag: float
     overlap_phase: float
 
     def __post_init__(self):
-        if abs(self.d2.c1 - self.d1.c2.conjugate()) > NORM_TOL or abs(
-            self.d2.c2 - self.d1.c1.conjugate()
-        ) > NORM_TOL:
-            raise ValidationError(
-                "d2 must hold the conjugate-swapped components of d1"
-            )
-        ip = inner_product(self.d1, self.d2)
+        d2 = DetectorState(self.d1.c2.conjugate(), self.d1.c1.conjugate())
+        object.__setattr__(self, "d2", d2)
+        ip = inner_product(self.d1, d2)
         if abs(abs(ip) - self.overlap_mag) > NORM_TOL:
             raise ValidationError(
                 f"overlap_mag {self.overlap_mag!r} inconsistent with |<d1|d2>| = {abs(ip)!r}"
@@ -148,11 +144,8 @@ def make_detector_pair(s: float, theta: float = 0.0) -> DetectorPair:
     mag1 = math.sqrt((1.0 + root) / 2.0)
     mag2 = math.sqrt((1.0 - root) / 2.0)
     phase = cmath.exp(0.5j * theta)
-    c1 = mag1 * phase
-    c2 = mag2 * phase
-    d1 = DetectorState(c1, c2)
-    d2 = DetectorState(c2.conjugate(), c1.conjugate())
-    return DetectorPair(d1=d1, d2=d2, overlap_mag=s, overlap_phase=theta)
+    d1 = DetectorState(mag1 * phase, mag2 * phase)
+    return DetectorPair(d1=d1, overlap_mag=s, overlap_phase=theta)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Complementarity metrics: bounds, numeric visibility, duality and recoil reports."""
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -212,6 +213,20 @@ class TestBohrAnalysis:
             )
             assert bohr_analysis(geom).ratio == pytest.approx(1 / (4 * math.pi), abs=1e-12)
 
+    def test_ratio_is_the_reports_own_quotient(self, standard_geom, rng):
+        geoms = [standard_geom] + [
+            Geometry(
+                wavelength=rng.uniform(1e-7, 1e-6),
+                screen_dist=rng.uniform(0.1, 10.0),
+                slit_sep=rng.uniform(1e-5, 1e-3),
+                packet_width=1e-7,
+            )
+            for _ in range(20)
+        ]
+        for geom in geoms:
+            rep = bohr_analysis(geom)
+            assert rep.ratio == rep.delta_x / rep.fringe_sep
+
     def test_underflowing_pitch_is_numeric_failure(self):
         from whichway import NumericFailure
 
@@ -230,24 +245,31 @@ class TestReportInvariants:
         from whichway import BohrReport, ValidationError
 
         with pytest.raises(ValidationError):
-            BohrReport(delta_px=1.0, delta_x=1.0, fringe_sep=1.0, ratio=1.0)
+            BohrReport(delta_px=1.0, delta_x=1.0, fringe_sep=1.0)  # ratio 1
 
     def test_bohr_report_rejects_nan_ratio(self):
         from whichway import BohrReport, ValidationError
 
         with pytest.raises(ValidationError):
-            BohrReport(delta_px=1.0, delta_x=1.0, fringe_sep=1.0, ratio=float("nan"))
+            BohrReport(delta_px=1.0, delta_x=float("nan"), fringe_sep=1.0)
 
     def test_duality_report_rejects_impossible_variances(self):
         from whichway import DualityReport, ValidationError
 
         with pytest.raises(ValidationError):
             DualityReport(D=1.0, V_bound=0.0, V_numeric=0.0, dP2=0.0, dQ2=0.0,
-                          lhs=1.0, rhs_unc=2.0, egy_ok=True, unc_ok=True)
+                          lhs=1.0, rhs_unc=2.0)
 
-    def test_duality_report_rejects_inconsistent_flags(self):
-        from whichway import DualityReport, ValidationError
+    @pytest.mark.parametrize("lhs, rhs_unc, egy_ok, unc_ok", [
+        (1.0, 1.0, True, True),
+        (1.0 + 2e-9, 1.0, False, False),
+        (0.9, 0.8, True, False),
+    ])
+    def test_duality_report_derives_its_flags(self, lhs, rhs_unc, egy_ok, unc_ok):
+        from whichway import DualityReport
 
-        with pytest.raises(ValidationError):
-            DualityReport(D=1.0, V_bound=0.0, V_numeric=0.0, dP2=0.5, dQ2=0.5,
-                          lhs=1.0, rhs_unc=1.0, egy_ok=False, unc_ok=True)
+        rep = DualityReport(D=0.0, V_bound=1.0, V_numeric=1.0, dP2=0.5, dQ2=1.5 - rhs_unc,
+                            lhs=lhs, rhs_unc=rhs_unc)
+        assert (rep.egy_ok, rep.unc_ok) == (egy_ok, unc_ok)
+        assert list(asdict(rep)) == ["D", "V_bound", "V_numeric", "dP2", "dQ2", "lhs",
+                                     "rhs_unc", "egy_ok", "unc_ok"]

@@ -29,6 +29,23 @@ OUT_OF_RANGE_GEOMETRIES = {
     "H3": {"lambda_d": 1e300, "slit_sep": 1e-4, "screen_dist": 1e300, "packet_width": 1e-5},
 }
 
+# in-schema geometries and grids whose kernels leave the float range, each
+# with the sweep parameter and value that reach the same failure: the closed
+# form's kappa and the packets' beta divide by an underflowed 0 (T1), the
+# packet prefactor divides inf by inf (T2), cosh overflows where the
+# gaussian underflows (T3), and the estimator's variance overflows on a
+# grid spanning 1e300 m (T4)
+FLOAT_RANGE_FAILURES = {
+    "T1": ({"lambda_d": 1e-320, "slit_sep": 1e-12, "screen_dist": 1e-4, "packet_width": 1e-300},
+           {"x_min": 1e-300, "x_max": 2.0, "n_points": 64}, "overlap", 0.0),
+    "T2": ({"lambda_d": math.pi, "slit_sep": 1e10, "screen_dist": 1e-5, "packet_width": 5e-324},
+           None, "overlap", 0.0),
+    "T3": ({"lambda_d": 1e-12, "slit_sep": 1e-2, "screen_dist": 1e-3, "packet_width": 1e-9},
+           {"x_min": -0.02, "x_max": 0.02, "n_points": 256}, "overlap", 0.0),
+    "T4": ({"lambda_d": 5e-4, "slit_sep": 1e-3, "screen_dist": 1000, "packet_width": 1e-5},
+           {"x_min": 1e-4, "x_max": 1e300, "n_points": 64}, "phase", 1e-4),
+}
+
 
 def write_config(tmp_path, name="config.json", **overrides):
     cfg = {
@@ -139,8 +156,7 @@ class TestPattern:
             grid={"x_min": -0.02, "x_max": 0.02, "n_points": 256},
         )
         out = tmp_path / "broken.csv"
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["pattern", "--config", str(cfg), "--out", str(out)]) == 2
+        assert main(["pattern", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_overflowing_geometry_is_numeric_failure(self, tmp_path, capsys):
@@ -182,6 +198,29 @@ class TestPattern:
                                        "sweep_param": "overlap", "values": [0.5]}))
         out = tmp_path / "out.csv"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, case", [
+        ("pattern", "T1"), ("scan-duality", "T1"), ("eraser", "T2"), ("scan-duality", "T2"),
+        ("pattern", "T3"), ("scan-duality", "T4"),
+    ])
+    def test_float_range_failures_are_one_numeric_failure(self, tmp_path, capsys,
+                                                          command, case):
+        geometry, grid, param, value = FLOAT_RANGE_FAILURES[case]
+        run = {"geometry": geometry, "detector": {"overlap": 0.0}}
+        if grid is not None:
+            run["grid"] = grid
+        if command == "scan-duality":
+            cfg = {"base": run, "sweep_param": param, "values": [value]}
+        else:
+            cfg = dict(run, eraser={"enabled": True})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("numeric failure:") and err.count("\n") == 1
         assert not out.exists()

@@ -258,6 +258,7 @@ class TestConditionalPatterns:
 
 
 class TestNumericFailurePath:
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_envelope_is_reported(self):
         # pathological geometry: cosh overflows while the gaussian underflows,
         # producing NaN in the closed form
@@ -266,9 +267,8 @@ class TestNumericFailurePath:
         geom = Geometry(1e-12, 1e-2, 1e-3, 1e-9)
         js = JointState(geom, make_detector_pair(0.0))
         grid = ScreenGrid(-0.02, 0.02, 256)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericFailure):
-                pattern_on_grid(grid, js, mode="closed_form")
+        with pytest.raises(NumericFailure):
+            pattern_on_grid(grid, js, mode="closed_form")
 
     @pytest.mark.parametrize("overlap", [0.0, 0.6])
     @pytest.mark.parametrize("n_points", [4097, 8193, 16385])

@@ -113,10 +113,18 @@ class TestMakeDetectorPair:
         with pytest.raises(ValidationError):
             make_detector_pair(s)
 
-    def test_pair_constructor_rejects_mismatched_states(self):
+    def test_pair_constructor_rejects_mismatched_overlap(self):
         good = make_detector_pair(0.6, 0.0)
+        DetectorPair(good.d1, 0.6, 0.0)
         with pytest.raises(ValidationError):
-            DetectorPair(good.d1, good.d1, 0.6, 0.0)
+            DetectorPair(good.d1, 0.5, 0.0)
+
+    def test_d2_is_the_conjugate_swap_of_d1(self, rng):
+        for _ in range(200):
+            pair = make_detector_pair(rng.uniform(), rng.uniform(-math.pi, math.pi))
+            d1 = pair.d1
+            # bit for bit: repr tells the signs of zeros apart, == does not
+            assert repr(pair.d2) == repr(DetectorState(d1.c2.conjugate(), d1.c1.conjugate()))
 
 
 class TestVariance:
