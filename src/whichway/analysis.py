@@ -541,7 +541,9 @@ def bohr_analysis(geom: Geometry) -> BohrReport:
     the Young fringe pitch is wavelength L / d.  Their ratio is the constant
     1/4pi for every geometry, which is the whole point: the blur is the same
     order as the pitch.  h is Planck's constant at its exact 2019 SI value.
-    Raises NumericFailure when a number overflows or the pitch underflows.
+    Raises NumericFailure when a number overflows or the blur delta_x, the
+    smaller of the two lengths, is not a normal float, the rule ScreenGrid
+    applies to its spacing: below that, the blur has lost digits.
     """
     lam, d, dist = geom.wavelength, geom.slit_sep, geom.screen_dist
     delta_px = (PLANCK_H / lam) * (d / dist)
@@ -550,6 +552,9 @@ def bohr_analysis(geom: Geometry) -> BohrReport:
     for name, value in (("delta_px", delta_px), ("delta_x", delta_x), ("fringe_sep", fringe_sep)):
         if not math.isfinite(value):
             raise NumericFailure(f"non-finite {name} in recoil report")
-    if fringe_sep == 0.0:
-        raise NumericFailure("fringe_sep underflows to 0 in recoil report")
+    if not delta_x >= np.finfo(float).smallest_normal:
+        raise NumericFailure(
+            f"delta_x {delta_x!r} m is below the normal floats in recoil report "
+            f"(fringe_sep {fringe_sep!r} m)"
+        )
     return BohrReport(delta_px=delta_px, delta_x=delta_x, fringe_sep=fringe_sep)

@@ -36,9 +36,19 @@ CLAMP_FLOOR = -1e-15
 _SQRT_HALF = math.sqrt(0.5)
 # the most float64 values one NumPy array can hold
 _MAX_FLOATS = np.iinfo(np.intp).max // 8
+_SMALLEST_NORMAL = np.finfo(float).smallest_normal
 #: Points per block of the elementwise kernels: a block's scratch arrays stay
 #: in cache, so no kernel call makes a grid-sized temporary.
 _BLOCK = 8192
+
+
+def _point_count(n_points) -> int:
+    """n_points as an int, if it is a whole number a grid can hold."""
+    if not 2 <= n_points <= _MAX_FLOATS or int(n_points) != n_points:
+        raise ValidationError(
+            f"n_points must be an integer from 2 to {_MAX_FLOATS}, got {n_points!r}"
+        )
+    return int(n_points)
 
 
 @dataclass(frozen=True)
@@ -60,14 +70,10 @@ class ScreenGrid:
             raise ValidationError("grid bounds must be finite")
         if not self.x_min < self.x_max:
             raise ValidationError(f"x_min must be below x_max, got [{self.x_min}, {self.x_max}]")
-        if not 2 <= self.n_points <= _MAX_FLOATS or int(self.n_points) != self.n_points:
-            raise ValidationError(
-                f"n_points must be an integer from 2 to {_MAX_FLOATS}, got {self.n_points!r}"
-            )
-        object.__setattr__(self, "n_points", int(self.n_points))
+        object.__setattr__(self, "n_points", _point_count(self.n_points))
         # a subnormal spacing has lost its precision, and the trapezoid
         # integral over such a grid is too small to normalize by
-        if not np.finfo(float).smallest_normal <= self.spacing() < math.inf:
+        if not _SMALLEST_NORMAL <= self.spacing() < math.inf:
             raise ValidationError(
                 f"grid spacing {self.spacing()!r} m is not a normal float"
             )
@@ -189,8 +195,17 @@ def default_grid(geom: Geometry, n_points: int = 8192) -> ScreenGrid:
     the positions, weights and packets it keeps, so a loop over detector
     states on one geometry evolves the packets once.  The cache holds that
     one grid until a call with other arguments: 384 KiB at 8192 points.
+    Raises NumericFailure when the span or the spacing the geometry implies
+    is not a normal float, and ValidationError for a bad n_points.
     """
+    n_points = _point_count(n_points)
     half_span = 5.0 * fringe_width(geom)
+    spacing = 2.0 * half_span / (n_points - 1)
+    if not _SMALLEST_NORMAL <= spacing < math.inf:
+        raise NumericFailure(
+            f"default grid of +-{half_span!r} m over {n_points} points has spacing "
+            f"{spacing!r} m, not a normal float"
+        )
     return ScreenGrid(-half_span, half_span, n_points)
 
 

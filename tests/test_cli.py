@@ -20,13 +20,19 @@ STANDARD_GEOMETRY = {
 # thinner packets: the envelope spans ~8 fringes, extrema sit on the ideal lattice
 SEPARATED_GEOMETRY = dict(STANDARD_GEOMETRY, packet_width=1e-6)
 W_STANDARD = 0.005000031582734083
-# in-schema geometries whose fringe width or recoil numbers leave the float
-# range: eps**4 overflows (H1), lambda*d*L underflows (H2), lambda*L
-# overflows (H3)
+# in-schema geometries whose fringe width, default grid or recoil numbers
+# leave the float range: eps**4 overflows (H1), lambda*d*L underflows (H2),
+# lambda*L overflows (H3), +-5 fringe widths overflow (G1), the default
+# grid's spacing is subnormal (G2), and lambda*L is subnormal, so the recoil
+# blur delta_x is too (B1, B2)
 OUT_OF_RANGE_GEOMETRIES = {
     "H1": {"lambda_d": 1e-5, "slit_sep": 1e306, "screen_dist": 1.0, "packet_width": 1e300},
     "H2": {"lambda_d": 1e-300, "slit_sep": 1e-4, "screen_dist": 1e-300, "packet_width": 1e-5},
     "H3": {"lambda_d": 1e300, "slit_sep": 1e-4, "screen_dist": 1e300, "packet_width": 1e-5},
+    "G1": {"lambda_d": 1e300, "slit_sep": 1.0, "screen_dist": 1e8, "packet_width": 1e-5},
+    "G2": {"lambda_d": 1e-300, "slit_sep": 1.0, "screen_dist": 1e-20, "packet_width": 1e-200},
+    "B1": {"lambda_d": 1e-160, "slit_sep": 1.0, "screen_dist": 1e-160, "packet_width": 1e-5},
+    "B2": {"lambda_d": 3e-154, "slit_sep": 1.0, "screen_dist": 1e-154, "packet_width": 1e-5},
 }
 
 # in-schema geometries and grids whose kernels leave the float range, each
@@ -72,6 +78,7 @@ class TestPattern:
         assert main(["pattern", "--config", str(cfg), "--out", str(out)]) == 0
         header, rows = read_csv(out)
         assert header == ["x_m", "intensity", "envelope", "interference_term"]
+        assert len(rows) == 8192  # the default grid
         data = np.array([[float(v) for v in row] for row in rows])
         xs, intensity = data[:, 0], data[:, 1]
         # every row decomposes exactly
@@ -187,7 +194,7 @@ class TestPattern:
     @pytest.mark.parametrize("command, geometry", [
         *((command, name) for name in OUT_OF_RANGE_GEOMETRIES
           for command in ("pattern", "eraser", "scan-duality")),
-        ("bohr", "H2"),
+        ("bohr", "H2"), ("bohr", "B1"), ("bohr", "B2"),
     ])
     def test_out_of_range_fringe_numbers_are_one_numeric_failure(self, tmp_path, capsys,
                                                                  command, geometry):
@@ -266,6 +273,23 @@ class TestScanDuality:
             s, d_val, v_bound = float(row[0]), float(row[1]), float(row[2])
             assert row[8] == "true" and row[9] == "true"
             assert d_val**2 + v_bound**2 == pytest.approx(1.0, abs=1e-12)
+            assert abs(float(row[3]) - s) <= 0.02
+
+    def test_phase_sweep_reads_the_overlap(self, tmp_path):
+        cfg = {
+            "base": {"geometry": dict(STANDARD_GEOMETRY), "detector": {"overlap": 0.6}},
+            "sweep_param": "phase",
+            "values": [-1.5, -0.5, 0.0, 0.5, 1.5],
+        }
+        path = tmp_path / "phases.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "phases.csv"
+        assert main(["scan-duality", "--config", str(path), "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 5
+        for row in rows:
+            assert abs(float(row[3]) - 0.6) <= 1e-3
+            assert row[8] == "true"
 
     def test_single_zero_overlap(self, tmp_path):
         cfg = self.sweep_config(tmp_path, [0.0])
@@ -363,6 +387,15 @@ class TestEraser:
         cell = xs[1] - xs[0]
         assert abs(shift - w / 2) <= cell
 
+    def test_default_grid(self, tmp_path):
+        cfg = write_config(tmp_path, detector={"overlap": 0.6, "phase": 0.3},
+                           eraser={"enabled": True})
+        out = tmp_path / "eraser.csv"
+        assert main(["eraser", "--config", str(cfg), "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert header == ["x_m", "i_q1", "i_q2", "i_sum"]
+        assert len(rows) == 8192
+
     def test_pointer_basis_no_fringes(self, tmp_path):
         cfg = self.eraser_config(tmp_path, basis_angle=0.0)
         out = tmp_path / "pointer.csv"
@@ -452,7 +485,7 @@ class TestBohr:
         out = tmp_path / "bohr.json"
         assert main(["bohr", "--config", str(cfg), "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert set(payload) == {"delta_px", "delta_x", "fringe_sep", "ratio"}
+        assert list(payload) == ["delta_px", "delta_x", "fringe_sep", "ratio"]
         assert payload["ratio"] == pytest.approx(0.0795775, abs=1e-7)
         assert payload["fringe_sep"] == pytest.approx(5e-3, rel=1e-12)
 

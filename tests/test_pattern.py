@@ -73,6 +73,23 @@ class TestFringeWidth:
         assert widths[0] < widths[1] < widths[2]
 
 
+class TestDefaultGrid:
+    @pytest.mark.parametrize("n_points", [1, 0, 2.5, math.inf, math.nan])
+    def test_bad_point_count_is_validation_error(self, standard_geom, n_points):
+        with pytest.raises(ValidationError):
+            default_grid(standard_geom, n_points)
+
+    @pytest.mark.parametrize("geometry", [
+        (1e300, 1.0, 1e8, 1e-5),  # +-5 fringe widths overflow
+        (1e-300, 1.0, 1e-20, 1e-200),  # the spacing is subnormal
+    ])
+    def test_grid_outside_the_float_range_is_numeric_failure(self, geometry):
+        from whichway import Geometry
+
+        with pytest.raises(NumericFailure):
+            default_grid(Geometry(*geometry))
+
+
 class TestIntensityRoutes:
     def test_orthogonal_pair_is_incoherent_sum(self, standard_geom, joint_state):
         js = joint_state(0.0)
