@@ -1,10 +1,12 @@
 """The real-arithmetic branch kernel behind the direct and conditional routes.
 
 Its kept arrays are |g1|^2, |g2|^2 and conj(g1) g2 of the complex packets;
-the direct route agrees with the closed form and with the four-term complex
-expansion; the eraser branches add up to the direct pattern; the in-place
-clamp equals the old copying one bit for bit; and kernels evaluated in blocks
-equal one evaluation over all the points bit for bit.
+their cross phase's cos and sin, taken from the tangent of the half phase,
+match np.cos and np.sin; the direct route agrees with the closed form and
+with the four-term complex expansion; the eraser branches add up to the
+direct pattern; the in-place clamp equals the old copying one bit for bit;
+and kernels evaluated in blocks equal one evaluation over all the points bit
+for bit.
 """
 import cmath
 import math
@@ -125,6 +127,57 @@ def test_kept_arrays_are_the_packet_products(wavelength, screen_dist):
         assert np.max(np.abs(got - want)) <= 1e-13 * peak
         with pytest.raises(ValueError):
             got[0] = 1.0
+
+
+def _unit_packets(xs, scale):
+    """_evolve's kept arrays at positions xs for a stand-in geometry whose
+    Gaussian factors are 1, so that cross_re and cross_im are cos and sin of
+    the cross phase.
+
+    Slits at +-1 m and q = 1/beta = -i scale give the phase
+    phi = Im(q) (u1 - u2) = 4 scale x; with scale a power of two, phi and
+    phi/2 are exact.
+    """
+    beta = 1.0 / complex(0.0, -scale)
+    assert 1.0 / beta == complex(0.0, -scale)
+    with mock.patch.object(pattern, "evolution_constants", lambda eps, tau: (1.0, beta)):
+        return pattern._evolve(np.asarray(xs, dtype=float), Geometry(5e-7, 2.0, 1.0, 1e-5))
+
+
+FAR = 2.0**598  # scale for phases past 1e150, so that (x -+ 1)^2 stays finite
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("phases, scale", [
+    ([0.0, -0.0, 5e-324, math.pi / 2, -math.pi / 2, math.pi, -math.pi, 1e5, 1e15], 0.25),
+    ([1e300, -1e300], FAR),
+    (np.random.default_rng(14).uniform(-1e4, 1e4, 3 * 8192 + 5), 0.25),
+], ids=["special", "huge", "spread"])
+def test_half_angle_form_matches_cos_and_sin(phases, scale):
+    kept = _unit_packets(np.divide(phases, 4.0 * scale), scale)
+    assert np.all(kept.mod1 == 1.0) and np.all(kept.mod2 == 1.0)
+    assert np.max(np.abs(kept.cross_re - np.cos(phases))) <= 4.5e-16
+    assert np.max(np.abs(kept.cross_im - np.sin(phases))) <= 4.5e-16
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_phases_give_nan():
+    # at x = +-1e150 the phase 4 FAR x overflows to +-inf while the Gaussian
+    # factors stay 1; a NaN position makes a NaN phase
+    kept = _unit_packets([1e150, -1e150, math.nan], FAR)
+    assert np.all(kept.mod1[:2] == 1.0)
+    assert np.all(np.isnan(kept.cross_re)) and np.all(np.isnan(kept.cross_im))
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometries)
+def test_cross_term_modulus_is_the_product_of_the_moduli(geom):
+    # |conj(g1) g2|^2 = |g1|^2 |g2|^2 whatever the phase, with no libm
+    # function or closed form to compare with
+    kept = default_grid(geom, POINTS)._packets(geom)
+    product = kept.mod1 * kept.mod2
+    modulus = kept.cross_re**2 + kept.cross_im**2
+    assert np.all(np.abs(modulus - product) <= 1e-14 * product)
 
 
 def _copying_clamp(weights, branches):

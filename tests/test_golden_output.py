@@ -63,6 +63,23 @@ NumPy's arccos, arctan2, cos, sin and complex exp instead of the C
 library's, which differ in the last bit.  Old against new, on 777 samples:
 var_sigma2 differs by at most 6.7e-16, var_sigma3 by 7.8e-16 and sum by
 8.9e-16 (253 of 777 rows); n1, n2, n3 and min_sum are identical.
+
+The six ``eraser.*``, ``duality-overlap.*`` and ``duality-phase.*`` digests
+were re-recorded when the packets' cross term began to take the cos and sin
+of its phase phi from t = tan(phi/2), as (1 - t^2)/(1 + t^2) and
+2t/(1 + t^2), in place of ``np.cos`` and ``np.sin``.  Old against new:
+i_q1, i_q2 and i_sum differ by at most 7.1e-15 absolute (3.3e-16 of the
+peak; 1627, 2042 and 822 of 8193 rows); V_numeric differs by at most
+1.1e-16 on the overlap sweep and 3.3e-16 on the phase sweep, and lhs by
+2.2e-16 and 3.3e-16 (one row each); x_m, s, D, V_bound, dP2, dQ2, rhs_unc
+and the egy_ok/unc_ok flags are identical.  The pattern, bohr, uncertainty
+and ``duality-screen.*`` digests did not change; the pattern subcommand
+writes the closed form, which keeps ``np.cos``.
+
+So these digests depend on NumPy's SIMD ``tan`` as well as on its SIMD
+``exp``.  With ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``,
+which takes both out of their AVX-512 loops, 12 of the 14 digests failed
+before this change and 10 fail after it; bohr and duality-screen pass.
 """
 import hashlib
 import json
@@ -104,14 +121,14 @@ CASES = {
 DIGESTS = {
     "bohr.csv": "185013d73d3c85d2c8555b6c61f48b58b35444580768de68b52f2d223dd4bd6e",
     "bohr.json": "fb58f08669d71e30f4933fc475297c08e8108b1b8f6fdbd5ce5d06d66487e0ba",
-    "duality-overlap.csv": "22ceee47b7f89f3a58cddaf10173148bcac745d5ca7e894488f50cc359d242ae",
-    "duality-overlap.json": "303a6b48df1dc08e379955725fb65d84535c8332d8c07dcd527f4f4733080338",
-    "duality-phase.csv": "3ff23b452ce61aabae9cff550d37a60b484a119dfb4274c4129ff3779d561ba2",
-    "duality-phase.json": "e80688c853c4b839e6a4f388c71da1f60e4bcec2fd11fa1d1605b357e53dc6ad",
+    "duality-overlap.csv": "4b32d604802c5c8d96f77ce011cde0edd093b683f8942c3e1a2d46f5d396cfeb",
+    "duality-overlap.json": "0e18e81049846624828d13d253dc5c3fccc00eb0e8efddd52a0867c4159c38e7",
+    "duality-phase.csv": "ed736feec88e01911b90369743c418254b2994b3005dcbe3f486cbe5be1669f9",
+    "duality-phase.json": "681d4252a892490d834231124741c15b4693b232e834e872b6fcc7f65bc12005",
     "duality-screen.csv": "f3ceb6b48a6a6073bf813e406982662d121d2fca4d712dafa2fe54bb47cca075",
     "duality-screen.json": "caa82ffe8083293959928cd675ed9cb66a584e67f69a7eb410422e6e30b8f1b3",
-    "eraser.csv": "14094a85d528e20e393cd7ec01375fb9c7e94c03018d54d3ff389480609afd7d",
-    "eraser.json": "2d23a2e08a7d031096a81ff7c482cc5160c6043f6e943d6226068115b5363707",
+    "eraser.csv": "eb888007533fe1824602858a601f9d78de3a3232e65f9b3eb66ce3be800f692f",
+    "eraser.json": "ea2fede96ee8fb9e389c61b5d18188120799a2f1bac3266aba63b4784471081c",
     "pattern.csv": "683d4189e4c258b854e8f1a164c1ef3f6668c7ef3d4b669ee095ebfdaa2a5003",
     "pattern.json": "23e4bd2ae2be27205603ea8417a8b040797862abd09f64282c26b483928733ab",
     "uncertainty.csv": "d8a1909b7dfc6c41026c771aca39c04fa4beb35d73b583d1aade918303b24e2e",
