@@ -1,23 +1,31 @@
 """Quantitative complementarity: distinguishability, visibility, duality reports.
 
-The numeric visibility estimator works from pattern samples alone and never
-sees the geometry, so it stays an independent check on the analytic bounds.
-After the pattern's moments, all of its work stays on a moments-defined
-core.  It fits the smooth envelope there first, once per pattern, and calls
-the pattern fringe-free (visibility 0) when the residual of that fit is
-below 1e-9 of the peak on the core.  Otherwise it takes one spectrum, of the
-tapered residual, and calls the pattern fringe-free when no lobe stands out
-there; else it demodulates the residual at that spectrum's peak, refined by
-a 3-point quadratic fit in k.  The envelope is a weighted least-squares
-quartic in the log domain, solved through its 5x5 normal equations; the
-demodulation sum is a block split that needs cos and sin at O(sqrt n)
-angles, not at every sample.  ``oscillatory_residual`` fits over all
-samples instead and is a diagnostic, not on the estimator's path.  The
-estimator assumes the far-field overlap regime: the packet spread well
-beyond the slit separation AND several fringes under the envelope (slit
-separation at least ~8 packet widths, so the fringe lobe clears the
-envelope's spectral lobe).  Two resolved humps, or a single fringe filling
-the whole envelope, are outside its contract.
+The numeric visibility estimator works from pattern samples and never sees
+the geometry, so it stays an independent check on the analytic bounds.  It
+reads a pattern against its which-way reference: the same pattern with its
+cross term removed, which is what the screen shows when the detector states
+are orthogonal (as which-way experiments record it).  Their difference is
+the interference term itself, so no envelope is fitted.  A pattern that
+stays within 1e-9 of its peak from its reference is fringe-free (visibility
+0).  Otherwise one spectrum of the weighted difference over the whole grid
+locates the fringe wavenumber at its largest interior bin, refined by a
+3-point quadratic fit in k; the difference is demodulated there and divided
+by the reference's integral.  The demodulation sum is a block split that
+needs cos and sin at O(sqrt n) angles, not at every sample.  For a pure
+detector state of overlap s this reads s exp(-d^2 / 8 sigma_t^2) to about
+1e-10 of s in the far field and 1e-7 of s in the near field.
+
+The estimator's regime: the fringes must clear the spectrum's bin 1 (more
+than about one fringe period over the grid), and the grid must hold the
+envelope, to about 7 sigma_t either side.  A grid that cuts the envelope
+lets the cosine's counter-rotating half leak into the demodulated bin and
+biases the contrast, by about 1e-4 of s on default_grid's 5 fringe widths
+at a slit separation of 25 packet widths; those 5 fringe widths hold the
+envelope to 1e-9 only up to about 10 packet widths.  Packets that overlap at
+the slits (slit separation within 4 packet widths, which Geometry warns
+about) are read the same way.  ``oscillatory_residual`` fits a smooth
+envelope to the samples alone instead; it is a diagnostic, not on the
+estimator's path.
 
 Extrema positions (plateau-aware scan plus 3-point parabolic refinement) are
 exposed separately for fringe-spacing measurements and eraser checks.
@@ -42,7 +50,8 @@ from .pattern import (
 )
 from .qubit import DetectorPair, PAULI_Z, inner_product, mub_basis, variance
 
-#: Envelope-fit residual (relative to peak) below which a pattern counts as fringe-free.
+#: Largest deviation from the which-way reference, relative to the peak, below
+#: which a pattern counts as fringe-free.
 FLATNESS_RTOL = 1e-9
 
 #: Slack on the duality inequalities (absorbs estimator error at the bound).
@@ -252,20 +261,22 @@ def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _fitted_envelope(u: np.ndarray, ys: np.ndarray, peak: float,
-                     fitted: np.ndarray | None) -> np.ndarray:
+                     fitted: np.ndarray) -> np.ndarray:
     """Best smooth envelope: exp(quartic polynomial) fit in the log domain.
 
     u is a normalised abscissa of the samples ys.  The fit is
     intensity-weighted over the samples selected by the boolean mask
-    ``fitted``, or over all of them when it is None (callers keep only
-    samples above 1e-12 of ``peak``, the maximum of the pattern); the family
-    reproduces every fringe-free pattern this toolkit emits (Gaussian-cosh
-    hump sums and displaced single humps) to rounding, while oscillations
-    are left in the residual.  Returned at every u, capped at e*peak so an
-    extrapolated tail cannot blow up.
+    ``fitted`` (callers keep only samples above 1e-12 of ``peak``, the
+    maximum of the pattern); the family reproduces every fringe-free pattern
+    this toolkit emits (Gaussian-cosh hump sums and displaced single humps)
+    to rounding, while oscillations are left in the residual.  The weights
+    are scaled by the power of two that brings the peak into [0.5, 1), so
+    their squared moments cannot overflow; the scaling is exact and leaves
+    the coefficients as they are.  Returned at every u, capped at e*peak so
+    an extrapolated tail cannot blow up.
     """
-    x, w = (u, ys) if fitted is None else (u[fitted], ys[fitted])
-    coeffs = _quartic_fit(x, np.log(w), w)
+    w = ys[fitted]
+    coeffs = _quartic_fit(u[fitted], np.log(w), np.ldexp(w, -math.frexp(peak)[1]))
     fit = _horner(coeffs, u)
     np.minimum(fit, math.log(peak) + 1.0, out=fit)
     return np.exp(fit, out=fit)
@@ -275,9 +286,8 @@ def oscillatory_residual(pattern: PatternSamples) -> float:
     """Max deviation from the best smooth envelope, relative to the peak.
 
     The envelope is fitted over every sample above 1e-12 of the peak.  This
-    is a diagnostic: numeric_visibility does not call it, and makes its
-    fringe-free test on the residual of its own fit over the demodulation
-    core instead.
+    is a diagnostic from the samples alone: numeric_visibility does not
+    call it and fits nothing.
     """
     ys = pattern.intensity
     peak = float(ys.max())
@@ -292,130 +302,6 @@ def oscillatory_residual(pattern: PatternSamples) -> float:
     np.subtract(ys, deviation, out=deviation)
     np.abs(deviation, out=deviation)
     return float(np.max(deviation[fitted])) / peak
-
-
-def _first_bin_from(cutoff: float, unit: float, count: int) -> int:
-    """The first of ``count`` rfft bins whose angular wavenumber 2 pi (j unit)
-    is at least ``cutoff``, or ``count`` when none is.
-
-    unit is np.fft.rfftfreq's bin spacing 1 / (n d), and the wavenumbers are
-    taken with rfftfreq's arithmetic, so this is searchsorted on 2 pi times
-    rfftfreq without the array.
-    """
-    def k(j):
-        return 2.0 * math.pi * (j * unit)
-
-    guess = cutoff / k(1)
-    if not guess < count:  # also an infinite or nan quotient
-        return count
-    j = max(math.ceil(guess), 0)
-    while j > 0 and k(j - 1) >= cutoff:
-        j -= 1
-    while j < count and k(j) < cutoff:
-        j += 1
-    return j
-
-
-def _demodulate(grid: ScreenGrid, ys: np.ndarray, peak: float):
-    """Fit the envelope, find the fringe lobe in one spectrum, and return
-    (k, contrast).
-
-    peak is the maximum of ys.  After the moments (total, mean and variance
-    of the pattern), every step works on the core |x - mean| <= 5.5 sigma, a
-    contiguous run of samples.  Returns None when the pattern is flat (the
-    residual of the envelope fit over the core stays below FLATNESS_RTOL of
-    the peak), or when no interior peak of the residual spectrum stands above
-    the envelope lobe's cutoff and 1e-9 of the pattern's sum.  The fitted
-    smooth envelope is subtracted before the spectrum is taken, so its own
-    spectral tail cannot leak into the fringe estimate (the duality bound is
-    exactly saturated at small overlap, where even a 1e-5 leak would tip
-    it).  The peak is refined with a 3-point quadratic fit on the residual
-    log-magnitudes (exact for the Gaussian lobes produced here), and the
-    contrast is 2 |sum r e^{-ikx}| / sum I with trapezoid weights, the
-    modulus taken by _dft_modulus.
-    """
-    xs = grid.xs()
-    wts = grid._weights
-    a = np.multiply(wts, ys)
-    total = float(np.sum(a))
-    if total <= 0.0:
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(a @ xs) / total
-        b = np.subtract(xs, mean)
-        var = float(a @ np.square(b)) / total
-    if not math.isfinite(var):
-        raise NumericFailure(f"pattern variance {var!r} m^2 is outside the float range")
-    if var <= 0.0:
-        return None
-    # Remove the smooth envelope before measuring the lobe.  Fit and residual
-    # are confined to a moments-defined core with a smooth taper: the quartic
-    # extrapolates badly past the fitted range, and any hard cut would alias
-    # fringe-frequency junk into the measurement.  A smooth envelope misfit
-    # inside the core has negligible content at the fringe frequency; what
-    # this removes is the envelope's own spectral tail there, which would
-    # otherwise bias the contrast upward at small overlap where the duality
-    # bound is saturated.  b is ascending, so the core is one index range.
-    sigma = math.sqrt(var)
-    half = 5.5 * sigma
-    lo = int(np.searchsorted(b, -half, "left"))
-    hi = int(np.searchsorted(b, half, "right"))
-    x = b[lo:hi]
-    x /= half
-    core = ys[lo:hi]
-    fitted = core > peak * 1e-12
-    if fitted.all():
-        fitted = None
-    resid = _fitted_envelope(x, core, peak, fitted)
-    np.subtract(core, resid, out=resid)
-    # the flatness test, on the residual of the one fit over the core
-    flat = np.abs(resid if fitted is None else resid[fitted])
-    if float(np.max(flat)) / peak < FLATNESS_RTOL:
-        return None
-    # ramp = clip(5.5 (1 - |x|), 0, 1), in x;
-    # taper = ramp**3 * (ramp * (6 ramp - 15) + 10), in t
-    ramp = np.abs(x, out=x)
-    np.subtract(1.0, ramp, out=ramp)
-    ramp *= 5.5
-    np.clip(ramp, 0.0, 1.0, out=ramp)
-    t = np.multiply(ramp, 6.0)
-    t -= 15.0
-    t *= ramp
-    t += 10.0
-    t *= ramp
-    t *= ramp
-    t *= ramp
-    resid *= t
-    # The tapered residual is zero off the core, and spectral moduli do not
-    # depend on a shift, so the core zero-padded to n stands in for the grid.
-    n, h = grid.n_points, float(xs[1] - xs[0])
-    spectrum = np.abs(np.fft.rfft(resid, n))
-    unit = 1.0 / (n * h)  # rfftfreq's bin spacing
-    start = max(_first_bin_from(3.2 / sigma, unit, len(spectrum)), 1)
-    if start >= len(spectrum) - 1:
-        return None
-    seg = spectrum[start:-1]
-    interior = (seg > spectrum[start - 1 : -2]) & (seg > spectrum[start + 1 :])
-    candidates = np.where(interior)[0] + start
-    if len(candidates) == 0:
-        return None
-    peak_j = int(candidates[np.argmax(spectrum[candidates])])
-    # total / h is the pattern's sum but for half its two end samples
-    if spectrum[peak_j] < 1e-9 * (total / h):
-        return None
-    # the residual's lobe is symmetric, so the 3-point quadratic fit in
-    # log-magnitude is exact up to rounding
-    khat = 2.0 * math.pi * (peak_j * unit)
-    trio = spectrum[peak_j - 1 : peak_j + 2]
-    if np.all(trio > 0.0):
-        lm, l0, lp = np.log(trio)
-        denom = lm - 2.0 * l0 + lp
-        if denom != 0.0:
-            khat += 0.5 * (2.0 * math.pi * unit) * (lm - lp) / denom
-    resid *= wts[lo:hi]
-    # the positions are x_min + j spacing(); xs[1] - xs[0] is off by up to
-    # half an ulp of x_min, which the sum would multiply by up to n
-    return khat, 2.0 * _dft_modulus(resid, khat * grid.spacing()) / total
 
 
 def _dft_modulus(c: np.ndarray, step: float) -> float:
@@ -459,21 +345,44 @@ def _cis(step: float, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def numeric_visibility(pattern: PatternSamples) -> float:
-    """Fringe contrast estimated from the samples alone.
+    """Fringe contrast of the samples, read against their which-way reference.
 
-    One envelope fit and at most one spectrum per pattern.  Fringe-free
-    patterns (a residual below FLATNESS_RTOL of the peak over the fitted
-    core, or no fringe lobe in the residual's spectrum) return exactly 0.
-    The result is clamped into [0, 1].
+    The reference I_ww is the intensity I with its cross term removed, so
+    I - I_ww is the interference term itself and no envelope is fitted.  A
+    pattern whose I - I_ww stays below FLATNESS_RTOL of its peak is
+    fringe-free and returns exactly 0, before any spectrum.  Otherwise
+    r = w (I - I_ww), w the trapezoid weights, has one rfft over the whole
+    grid; its largest interior bin, refined by a 3-point quadratic fit on
+    the log-magnitudes (exact for the Gaussian lobes produced here), gives
+    the fringe wavenumber k, and the contrast is
+    2 |sum r e^{-ikx}| / sum w I_ww, the modulus taken by _dft_modulus.  The
+    result is clamped into [0, 1].
     """
-    ys = pattern.intensity
-    peak = float(ys.max())
+    peak = float(pattern.intensity.max())
     if peak <= 0.0:
         return 0.0
-    demod = _demodulate(pattern.grid, ys, peak)
-    if demod is None:
+    wts = pattern.grid._weights
+    ref = pattern.which_way()
+    ref_total = float(wts @ ref)
+    r = np.subtract(pattern.intensity, ref, out=ref)
+    if float(np.max(np.abs(r))) < FLATNESS_RTOL * peak:
         return 0.0
-    return float(min(max(demod[1], 0.0), 1.0))
+    r *= wts
+    spectrum = np.abs(np.fft.rfft(r))
+    if len(spectrum) < 3:  # no interior bin
+        return 0.0
+    j = 1 + int(np.argmax(spectrum[1:-1]))
+    # the lobe is symmetric, so the 3-point quadratic fit in log-magnitude
+    # is exact up to rounding; freq counts cycles over the n samples
+    freq = float(j)
+    trio = spectrum[j - 1 : j + 2]
+    if np.all(trio > 0.0):
+        lm, l0, lp = np.log(trio)
+        denom = lm - 2.0 * l0 + lp
+        if denom != 0.0:
+            freq += 0.5 * (lm - lp) / denom
+    contrast = 2.0 * _dft_modulus(r, 2.0 * math.pi * freq / len(r)) / ref_total
+    return float(min(max(contrast, 0.0), 1.0))
 
 
 def eraser_branch_visibilities(er: EraserResult) -> tuple[float, float]:

@@ -346,17 +346,18 @@ def _keep_freed_memory():
     """Fix glibc's trim and mmap thresholds for this process.
 
     Every scan-duality value allocates and frees a few hundred KB of
-    grid-sized arrays: the estimator's spectra, sample copies and scratch
-    arrays, and for a screen_dist or packet_width sweep a new grid with its
-    positions, weights and packets.  glibc's default thresholds adapt to the
-    allocation history, so whether that memory is handed back to the OS and
-    faulted in again on the next value depends on heap layout.  On the
-    benchmark's three cold 700-value sweeps (seeds 7 and 8, 8192 points,
-    x86-64 Linux), each job took about 5.1k minor faults with these
-    thresholds.  Without them the overlap and phase sweeps took about 5.2k
-    and the screen_dist sweep 125k to 139k, which made it 0.3 to 0.8 s
-    slower than its 1.6 s.  Fixed thresholds keep the memory in the heap.
-    Other C libraries are left as they are.
+    grid-sized arrays: the pattern, the estimator's which-way reference and
+    the spectrum of their difference, and for a screen_dist or packet_width
+    sweep a new grid with its positions, weights and packets.  glibc's
+    default thresholds adapt to the allocation history, so whether that
+    memory is handed back to the OS and faulted in again on the next value
+    depends on heap layout.  On the benchmark's seed-7 700-value sweeps
+    (8192 points, x86-64 Linux, in process after the imports), each job took
+    370 to 413 minor faults with these thresholds.  Without them the overlap
+    and phase sweeps took about 400 and the screen_dist sweep about 67.5k,
+    which made it up to 0.3 s slower than its 0.5 to 0.6 s.  Fixed
+    thresholds keep the memory in the heap.  Other C libraries are left as
+    they are.
     """
     if not sys.platform.startswith("linux"):
         return

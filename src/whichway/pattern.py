@@ -13,7 +13,9 @@ The direct and conditional routes start from the two evolved branch packets.
 The packets depend only on the grid and the geometry; detector states and
 path amplitudes merely weight their moduli and their cross term, so patterns
 for many detector states on one grid and geometry evolve them once and
-combine them per state.  The packets' cross phase phi takes its cos and sin
+combine them per state.  ``PatternSamples.which_way`` combines a pattern's
+packets again with the cross term removed: the which-way reference the
+visibility estimator reads the pattern against.  The packets' cross phase phi takes its cos and sin
 from t = tan(phi/2), as (1 - t^2)/(1 + t^2) and 2t/(1 + t^2), which NumPy
 computes several times faster than cos and sin.  The closed form keeps
 ``np.cos``: it stays an oracle derived apart from the packets, and its
@@ -147,6 +149,10 @@ class JointState:
     def has_equal_amps(self) -> bool:
         return abs(self.path_amps[0] - self.path_amps[1]) <= 1e-12
 
+    def path_weights(self) -> tuple[float, float]:
+        """|a1|^2 and |a2|^2, the weights of the two packets' moduli."""
+        return abs(self.path_amps[0]) ** 2, abs(self.path_amps[1]) ** 2
+
 
 @dataclass(frozen=True, eq=False)
 class PatternSamples:
@@ -155,13 +161,35 @@ class PatternSamples:
     norm_constant is the raw trapezoid integral divided out during
     normalization.  provenance records which route produced the samples;
     "conditional" branches share their normalization with their partner so
-    that the pair sums to the unconditioned pattern.
+    that the pair sums to the unconditioned pattern.  geom and path_weights
+    are the geometry and the weights of the packets' moduli |g1|^2 and
+    |g2|^2 the samples were built from; ``which_way`` builds the pattern's
+    which-way reference from them on request.
     """
 
     grid: ScreenGrid
     intensity: np.ndarray
     norm_constant: float
     provenance: str
+    geom: Geometry
+    path_weights: tuple[float, float]
+
+    def which_way(self) -> np.ndarray:
+        """The pattern with its cross term removed, as a fresh array.
+
+        It is what the screen shows when the detector states are orthogonal
+        (a perfect which-way record): the same packets with the same path
+        weights, with no interference, divided by this pattern's
+        norm_constant.  It is combined from the direct route's packets
+        whatever the provenance.  Raises NumericFailure when it leaves the
+        float range.
+        """
+        ref = _combine(self.grid._packets(self.geom), *self.path_weights, 0.0)
+        with np.errstate(over="ignore"):
+            ref /= self.norm_constant
+        if not math.isfinite(ref.max()):  # a NaN shows in the maximum too
+            raise NumericFailure("the which-way reference is outside the float range")
+        return ref
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,7 +375,7 @@ def intensity_direct(x, js: JointState):
     geom = js.geom
     ip = inner_product(js.pair.d1, js.pair.d2)
     a1, a2 = js.path_amps
-    weights = (abs(a1) ** 2, abs(a2) ** 2, a1.conjugate() * a2 * ip)
+    weights = (*js.path_weights(), a1.conjugate() * a2 * ip)
     if isinstance(x, ScreenGrid):
         return _combine(x._packets(geom), *weights)
     return _eval_checked(x, lambda xs: _combine(_evolve(xs, geom), *weights))
@@ -462,7 +490,7 @@ def pattern_on_grid(grid: ScreenGrid, js: JointState, mode: str = "direct") -> P
     else:
         raw = intensity_closed_form(grid.xs(), js)
     intensity, total = _clamp_and_normalize(grid._weights, [raw])
-    return PatternSamples(grid=grid, intensity=intensity, norm_constant=total, provenance=mode)
+    return PatternSamples(grid, intensity, total, mode, js.geom, js.path_weights())
 
 
 def conditional_patterns(grid: ScreenGrid, js: JointState, basis: MeasurementBasis) -> EraserResult:
@@ -475,18 +503,19 @@ def conditional_patterns(grid: ScreenGrid, js: JointState, basis: MeasurementBas
     _check_fringe_resolution(grid, js.geom)
     packets = grid._packets(js.geom)
     a1, a2 = js.path_amps
-    raws = []
+    raws, weights = [], []
     for b in (basis.b1, basis.b2):
         # |sqrt2 (k1 g1 + k2 g2)|^2 with k_j = <b|d_j> a_j
         k1 = inner_product(b, js.pair.d1) * a1
         k2 = inner_product(b, js.pair.d2) * a2
-        raws.append(_combine(packets, abs(k1) ** 2, abs(k2) ** 2, k1.conjugate() * k2))
+        weights.append((abs(k1) ** 2, abs(k2) ** 2))
+        raws.append(_combine(packets, *weights[-1], k1.conjugate() * k2))
     wts = grid._weights
     i_b, i_p, total = _clamp_and_normalize(wts, raws)
-    weights = (float(wts @ i_b), float(wts @ i_p))
     return EraserResult(
-        i_b=PatternSamples(grid, i_b, total, "conditional"),
-        i_b_perp=PatternSamples(grid, i_p, total, "conditional"),
-        i_sum=PatternSamples(grid, i_b + i_p, total, "conditional"),
-        branch_weights=weights,
+        i_b=PatternSamples(grid, i_b, total, "conditional", js.geom, weights[0]),
+        i_b_perp=PatternSamples(grid, i_p, total, "conditional", js.geom, weights[1]),
+        i_sum=PatternSamples(grid, i_b + i_p, total, "conditional", js.geom,
+                             js.path_weights()),
+        branch_weights=(float(wts @ i_b), float(wts @ i_p)),
     )

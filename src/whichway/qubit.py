@@ -145,7 +145,9 @@ def make_detector_pair(s: float, theta: float = 0.0) -> DetectorPair:
     theta = math.remainder(theta, math.tau)
     root = math.sqrt(max(1.0 - s * s, 0.0))
     mag1 = math.sqrt((1.0 + root) / 2.0)
-    mag2 = math.sqrt((1.0 - root) / 2.0)
+    # 1 - root cancels for small s; s / (2 mag1) does not, but near s = 1
+    # the square root keeps d1 == d2 exact at s = 1
+    mag2 = s / (2.0 * mag1) if root > 0.5 else math.sqrt((1.0 - root) / 2.0)
     phase = cmath.exp(0.5j * theta)
     d1 = DetectorState(mag1 * phase, mag2 * phase)
     return DetectorPair(d1=d1, overlap_mag=s, overlap_phase=theta)

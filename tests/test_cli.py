@@ -38,9 +38,8 @@ OUT_OF_RANGE_GEOMETRIES = {
 # in-schema geometries and grids whose kernels leave the float range, each
 # with the sweep parameter and value that reach the same failure: the closed
 # form's kappa and the packets' beta divide by an underflowed 0 (T1), the
-# packet prefactor divides inf by inf (T2), cosh overflows where the
-# gaussian underflows (T3), and the estimator's variance overflows on a
-# grid spanning 1e300 m (T4)
+# packet prefactor divides inf by inf (T2), and cosh overflows where the
+# gaussian underflows (T3)
 FLOAT_RANGE_FAILURES = {
     "T1": ({"lambda_d": 1e-320, "slit_sep": 1e-12, "screen_dist": 1e-4, "packet_width": 1e-300},
            {"x_min": 1e-300, "x_max": 2.0, "n_points": 64}, "overlap", 0.0),
@@ -48,8 +47,6 @@ FLOAT_RANGE_FAILURES = {
            None, "overlap", 0.0),
     "T3": ({"lambda_d": 1e-12, "slit_sep": 1e-2, "screen_dist": 1e-3, "packet_width": 1e-9},
            {"x_min": -0.02, "x_max": 0.02, "n_points": 256}, "overlap", 0.0),
-    "T4": ({"lambda_d": 5e-4, "slit_sep": 1e-3, "screen_dist": 1000, "packet_width": 1e-5},
-           {"x_min": 1e-4, "x_max": 1e300, "n_points": 64}, "phase", 1e-4),
 }
 
 
@@ -212,7 +209,7 @@ class TestPattern:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command, case", [
         ("pattern", "T1"), ("scan-duality", "T1"), ("eraser", "T2"), ("scan-duality", "T2"),
-        ("pattern", "T3"), ("scan-duality", "T4"),
+        ("pattern", "T3"),
     ])
     def test_float_range_failures_are_one_numeric_failure(self, tmp_path, capsys,
                                                           command, case):
@@ -230,6 +227,39 @@ class TestPattern:
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("numeric failure:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_float_range_grid_without_fringes_reads_visibility_zero(self, tmp_path):
+        # a grid spanning 1e300 m: the pattern at overlap 0 is its own
+        # which-way reference, so the estimator reads 0 from the samples
+        run = {"geometry": {"lambda_d": 5e-4, "slit_sep": 1e-3, "screen_dist": 1000,
+                            "packet_width": 1e-5},
+               "grid": {"x_min": 1e-4, "x_max": 1e300, "n_points": 64},
+               "detector": {"overlap": 0.0}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"base": run, "sweep_param": "phase", "values": [1e-4]}))
+        out = tmp_path / "out.csv"
+        assert main(["scan-duality", "--config", str(path), "--out", str(out)]) == 0
+        header, row = out.read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["V_numeric"] == "0"
+
+    @pytest.mark.filterwarnings("error")
+    def test_which_way_reference_past_the_float_range_is_numeric_failure(self, tmp_path,
+                                                                        capsys):
+        # a 2e-300 m grid inside the dark fringe at s near 1: the pattern
+        # integrates to about 1e-12 of its reference, which the
+        # normalization lifts past the largest float
+        run = {"geometry": dict(STANDARD_GEOMETRY),
+               "grid": {"x_min": -1e-300, "x_max": 1e-300, "n_points": 64},
+               "detector": {"overlap": 0.0, "phase": math.pi}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"base": run, "sweep_param": "overlap",
+                                    "values": [0.999999999999]}))
+        out = tmp_path / "out.csv"
+        assert main(["scan-duality", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "numeric failure: the which-way reference is outside the float range\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["pattern", "eraser"])

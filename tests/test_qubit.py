@@ -79,6 +79,14 @@ class TestMakeDetectorPair:
         assert abs(pair.d1.c2) ** 2 == pytest.approx(0.5, abs=1e-15)
         assert pair.d1 == pair.d2
 
+    @pytest.mark.parametrize("theta", [0.0, 0.7, 3.0])
+    def test_accepts_its_own_pair_at_every_overlap(self, theta):
+        # 1.83e-5 and 1e-6 were refused when |c2| came from 1 - sqrt(1 - s^2)
+        tiny = [1e-6, 1.8286478619233826e-05, 5e-6, 1e-4, 5e-324]
+        for s in [*np.geomspace(1e-300, 1.0, 2000), *np.linspace(0.0, 1.0, 2001), *tiny]:
+            pair = make_detector_pair(float(s), theta)
+            assert abs(abs(inner_product(pair.d1, pair.d2)) - s) <= 1e-15
+
     def test_overlap_round_trip(self):
         pair = make_detector_pair(0.6, 0.0)
         assert abs(pair.d1.c1) ** 2 == pytest.approx(0.9, abs=1e-14)
