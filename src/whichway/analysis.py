@@ -29,6 +29,9 @@ estimator's path.
 
 Extrema positions (plateau-aware scan plus 3-point parabolic refinement) are
 exposed separately for fringe-spacing measurements and eraser checks.
+
+The recoil report (``PLANCK_H``, ``BohrReport``, ``bohr_analysis``) lives in
+``recoil``, which imports no NumPy, and is re-exported here.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericFailure, ValidationError
+from .errors import ValidationError
 from .packets import Geometry, effective_tau, spread_sigma
 from .pattern import (
     EraserResult,
@@ -49,6 +52,7 @@ from .pattern import (
     pattern_on_grid,
 )
 from .qubit import DetectorPair, PAULI_Z, inner_product, mub_basis, variance
+from .recoil import PLANCK_H, BohrReport, bohr_analysis  # noqa: F401  (exported here too)
 
 #: Largest deviation from the which-way reference, relative to the peak, below
 #: which a pattern counts as fringe-free.
@@ -56,10 +60,6 @@ FLATNESS_RTOL = 1e-9
 
 #: Slack on the duality inequalities (absorbs estimator error at the bound).
 DUALITY_TOL = 1e-9
-
-#: Planck's constant in J s, exact in the 2019 SI.
-PLANCK_H = 6.62607015e-34
-
 
 @dataclass(frozen=True)
 class DualityReport:
@@ -90,26 +90,6 @@ class DualityReport:
             )
         object.__setattr__(self, "egy_ok", bool(self.lhs <= 1.0 + DUALITY_TOL))
         object.__setattr__(self, "unc_ok", bool(self.lhs <= self.rhs_unc + DUALITY_TOL))
-
-
-@dataclass(frozen=True)
-class BohrReport:
-    """Back-of-envelope recoil bookkeeping in SI units.
-
-    The blur-to-pitch ratio delta_x / fringe_sep is derived, and is the
-    geometry-free constant 1/4pi; construction rejects anything else.
-    """
-
-    delta_px: float
-    delta_x: float
-    fringe_sep: float
-    ratio: float = field(init=False)
-
-    def __post_init__(self):
-        ratio = self.delta_x / self.fringe_sep
-        if not abs(ratio - 0.25 / math.pi) <= 1e-12:  # NaN included
-            raise ValidationError(f"ratio {ratio!r} is not the recoil constant 1/4pi")
-        object.__setattr__(self, "ratio", ratio)
 
 
 def distinguishability(pair: DetectorPair) -> float:
@@ -440,30 +420,3 @@ def duality_report(geom: Geometry, pair: DetectorPair,
         lhs=float(lhs),
         rhs_unc=float(rhs_unc),
     )
-
-
-def bohr_analysis(geom: Geometry) -> BohrReport:
-    """The recoil estimate: momentum spread, implied slit-position blur, fringe pitch.
-
-    delta_px = (h / wavelength)(d / L); delta_x = wavelength L / (4 pi d) is
-    the minimum-uncertainty position blur for that momentum resolution, and
-    the Young fringe pitch is wavelength L / d.  Their ratio is the constant
-    1/4pi for every geometry, which is the whole point: the blur is the same
-    order as the pitch.  h is Planck's constant at its exact 2019 SI value.
-    Raises NumericFailure when a number overflows or the blur delta_x, the
-    smaller of the two lengths, is not a normal float, the rule ScreenGrid
-    applies to its spacing: below that, the blur has lost digits.
-    """
-    lam, d, dist = geom.wavelength, geom.slit_sep, geom.screen_dist
-    delta_px = (PLANCK_H / lam) * (d / dist)
-    delta_x = lam * dist / (4.0 * math.pi * d)
-    fringe_sep = lam * dist / d
-    for name, value in (("delta_px", delta_px), ("delta_x", delta_x), ("fringe_sep", fringe_sep)):
-        if not math.isfinite(value):
-            raise NumericFailure(f"non-finite {name} in recoil report")
-    if not delta_x >= np.finfo(float).smallest_normal:
-        raise NumericFailure(
-            f"delta_x {delta_x!r} m is below the normal floats in recoil report "
-            f"(fringe_sep {fringe_sep!r} m)"
-        )
-    return BohrReport(delta_px=delta_px, delta_x=delta_x, fringe_sep=fringe_sep)

@@ -3,11 +3,18 @@
 Exit codes: 0 success, 1 configuration/validation problem, 2 numeric failure.
 Output bytes are a deterministic function of the config (floats serialized
 with 17 significant digits; run chatter goes to stderr).
+
+Every job is a fresh process, so this module imports at load only the
+standard library, the config schema, ``Geometry`` and the recoil report.
+Each subcommand imports the modules it computes with when it runs: ``bohr``
+loads no NumPy, ``uncertainty-scan`` NumPy and ``qubit`` only, ``pattern``
+and ``eraser`` no ``analysis``, and ``scan-duality`` all of them.  The
+package's public names still read through this module (``cli.duality_report``
+is ``analysis.duality_report``), loaded on first access.
 """
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import math
 import os
@@ -15,29 +22,25 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._schema import schema_error
-from .analysis import DualityReport, bohr_analysis, duality_report
 from .errors import NumericFailure, ValidationError
-from .packets import Geometry
-from .pattern import (
-    JointState,
-    ScreenGrid,
-    closed_form_parts,
-    conditional_patterns,
-    default_grid,
-    pattern_on_grid,
-)
-from .qubit import (
-    DetectorPair,
-    bloch_sphere_lattice,
-    make_detector_pair,
-    rotated_basis,
-    states_from_bloch,
-    sum_uncertainty,
-)
+from .packets import Geometry, grid_points
+from .recoil import bohr_analysis
+
+if TYPE_CHECKING:
+    from .qubit import DetectorPair
+
+
+def __getattr__(name):
+    # the package's public names read through this module, as when it
+    # imported them at load; the subcommands import theirs when they run
+    package = sys.modules[__package__]
+    if name in package.__all__:
+        return getattr(package, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _SCHEMA = json.loads(
     resources.files("whichway").joinpath("config_schema.json").read_text(encoding="utf-8")
@@ -57,12 +60,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _plain(value):
+    """A NumPy array or scalar as Python values (a list, or one float or
+    bool); Python values as they are."""
+    return value.tolist() if hasattr(value, "tolist") else value
+
+
 def _cells(column) -> list[str]:
     """Serialize a column or scalar: floats at 17 significant digits, bools lowercase."""
-    values = np.atleast_1d(column)
-    if values.dtype == np.bool_:
-        return ["true" if v else "false" for v in values.tolist()]
-    return ["%.17g" % v for v in values.tolist()]
+    values = _plain(column)
+    if not isinstance(values, list):
+        values = [values]
+    if values and all(type(v) is bool for v in values):
+        return ["true" if v else "false" for v in values]
+    return ["%.17g" % v for v in values]
 
 
 def _emit_csv(columns: dict) -> str:
@@ -74,8 +85,9 @@ def _emit_csv(columns: dict) -> str:
 def _emit_json(fields: dict) -> str:
     # hand-rolled so floats keep the 17-digit contract (json.dumps uses repr)
     def render(value):
+        value = _plain(value)
         cells = _cells(value)
-        return "[" + ", ".join(cells) + "]" if np.ndim(value) else cells[0]
+        return "[" + ", ".join(cells) + "]" if isinstance(value, list) else cells[0]
 
     return "{" + ", ".join(f"{json.dumps(k)}: {render(v)}" for k, v in fields.items()) + "}\n"
 
@@ -114,10 +126,13 @@ def _write_output(text: str, path: str | None):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A checked run config.  grid holds the configured grid's x_min, x_max
+    and n_points; the subcommands that compute on it build the ScreenGrid."""
+
     geometry: Geometry
     overlap: float
     phase: float
-    grid: ScreenGrid | None
+    grid: tuple[float, float, int] | None
     eraser_enabled: bool
     basis_angle: float
     out_format: str | None
@@ -157,7 +172,8 @@ def _run_config_from_dict(raw: dict) -> RunConfig:
     grid_cfg = raw.get("grid")
     grid = None
     if grid_cfg is not None:
-        grid = ScreenGrid(grid_cfg["x_min"], grid_cfg["x_max"], grid_cfg["n_points"])
+        x_min, x_max = grid_cfg["x_min"], grid_cfg["x_max"]
+        grid = (x_min, x_max, grid_points(x_min, x_max, grid_cfg["n_points"]))
     eraser = raw.get("eraser", {})
     output = raw.get("output", {})
     return RunConfig(
@@ -179,6 +195,8 @@ def load_run_config(path: str) -> RunConfig:
 def load_sweep_config(path: str) -> tuple[RunConfig, list[tuple[Geometry, DetectorPair]]]:
     """The base config, and the geometry and detector pair of every sweep
     value, all built (so all checked) before anything is evaluated."""
+    from .qubit import make_detector_pair
+
     raw = _load_json(path)
     error = schema_error(raw, _SWEEP_SCHEMA)
     if error is not None:
@@ -209,9 +227,12 @@ def _sized(what: str):
 # ---------------------------------------------------------------------------
 
 def _cmd_pattern(args) -> tuple[RunConfig, dict]:
+    from .pattern import JointState, ScreenGrid, closed_form_parts, default_grid, pattern_on_grid
+    from .qubit import make_detector_pair
+
     cfg = load_run_config(args.config)
     js = JointState(cfg.geometry, make_detector_pair(cfg.overlap, cfg.phase))
-    grid = cfg.grid or default_grid(cfg.geometry)
+    grid = ScreenGrid(*cfg.grid) if cfg.grid else default_grid(cfg.geometry)
     with _sized(f"a grid of {grid.n_points} points"):
         samples = pattern_on_grid(grid, js, mode="closed_form")
         envelope, interference = closed_form_parts(grid.xs(), js)
@@ -226,10 +247,15 @@ def _cmd_pattern(args) -> tuple[RunConfig, dict]:
 
 
 def _cmd_scan_duality(args) -> tuple[RunConfig, dict]:
+    from .analysis import DualityReport, duality_report
+    from .pattern import ScreenGrid, default_grid
+
     base, runs = load_sweep_config(args.config)
+    # one configured grid for every value, so it keeps its packets between them
+    configured = ScreenGrid(*base.grid) if base.grid else None
     reports = []
     for geometry, pair in runs:
-        grid = base.grid or default_grid(geometry)
+        grid = configured or default_grid(geometry)
         with _sized(f"a grid of {grid.n_points} points"):
             reports.append(duality_report(geometry, pair, grid))
     columns = {"s": [pair.overlap_mag for _, pair in runs]}
@@ -239,12 +265,15 @@ def _cmd_scan_duality(args) -> tuple[RunConfig, dict]:
 
 
 def _cmd_eraser(args) -> tuple[RunConfig, dict]:
+    from .pattern import JointState, ScreenGrid, conditional_patterns, default_grid
+    from .qubit import make_detector_pair, rotated_basis
+
     cfg = load_run_config(args.config)
     if not cfg.eraser_enabled:
         raise ValidationError("eraser subcommand requires eraser.enabled = true in the config")
     js = JointState(cfg.geometry, make_detector_pair(cfg.overlap, cfg.phase))
     basis = rotated_basis(cfg.basis_angle)
-    grid = cfg.grid or default_grid(cfg.geometry)
+    grid = ScreenGrid(*cfg.grid) if cfg.grid else default_grid(cfg.geometry)
     with _sized(f"a grid of {grid.n_points} points"):
         er = conditional_patterns(grid, js, basis)
     return cfg, {
@@ -256,6 +285,8 @@ def _cmd_eraser(args) -> tuple[RunConfig, dict]:
 
 
 def _cmd_uncertainty_scan(args) -> tuple[None, dict]:
+    from .qubit import bloch_sphere_lattice, states_from_bloch, sum_uncertainty
+
     if args.samples < 1:
         raise ValidationError(f"samples must be >= 1, got {args.samples}")
     with _sized(f"a lattice of {args.samples} points"):
@@ -361,6 +392,8 @@ def _keep_freed_memory():
     """
     if not sys.platform.startswith("linux"):
         return
+    import ctypes
+
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):

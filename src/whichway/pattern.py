@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 from .errors import NumericFailure, ValidationError
-from .packets import Geometry, effective_tau, evolution_constants
+from .packets import Geometry, effective_tau, evolution_constants, grid_points, point_count
 from .qubit import DetectorPair, MeasurementBasis, inner_product
 
 #: Raw intensities in [CLAMP_FLOOR m, 0), m the larger of 1 and the largest
@@ -41,21 +41,10 @@ from .qubit import DetectorPair, MeasurementBasis, inner_product
 CLAMP_FLOOR = -1e-15
 
 _SQRT_HALF = math.sqrt(0.5)
-# the most float64 values one NumPy array can hold
-_MAX_FLOATS = np.iinfo(np.intp).max // 8
 _SMALLEST_NORMAL = np.finfo(float).smallest_normal
 #: Points per block of the elementwise kernels: a block's scratch arrays stay
 #: in cache, so no kernel call makes a grid-sized temporary.
 _BLOCK = 8192
-
-
-def _point_count(n_points) -> int:
-    """n_points as an int, if it is a whole number a grid can hold."""
-    if not 2 <= n_points <= _MAX_FLOATS or int(n_points) != n_points:
-        raise ValidationError(
-            f"n_points must be an integer from 2 to {_MAX_FLOATS}, got {n_points!r}"
-        )
-    return int(n_points)
 
 
 @dataclass(frozen=True)
@@ -73,17 +62,7 @@ class ScreenGrid:
     n_points: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
-            raise ValidationError("grid bounds must be finite")
-        if not self.x_min < self.x_max:
-            raise ValidationError(f"x_min must be below x_max, got [{self.x_min}, {self.x_max}]")
-        object.__setattr__(self, "n_points", _point_count(self.n_points))
-        # a subnormal spacing has lost its precision, and the trapezoid
-        # integral over such a grid is too small to normalize by
-        if not _SMALLEST_NORMAL <= self.spacing() < math.inf:
-            raise ValidationError(
-                f"grid spacing {self.spacing()!r} m is not a normal float"
-            )
+        object.__setattr__(self, "n_points", grid_points(self.x_min, self.x_max, self.n_points))
 
     def xs(self) -> np.ndarray:
         """The positions, read-only."""
@@ -231,7 +210,7 @@ def default_grid(geom: Geometry, n_points: int = 8192) -> ScreenGrid:
     Raises NumericFailure when the span or the spacing the geometry implies
     is not a normal float, and ValidationError for a bad n_points.
     """
-    n_points = _point_count(n_points)
+    n_points = point_count(n_points)
     half_span = 5.0 * fringe_width(geom)
     spacing = 2.0 * half_span / (n_points - 1)
     if not _SMALLEST_NORMAL <= spacing < math.inf:

@@ -277,21 +277,44 @@ def bloch_sphere_lattice(n: int) -> np.ndarray:
     return np.column_stack((r * np.cos(azimuth), r * np.sin(azimuth), z))
 
 
+def _bloch_norm(n1, n2, n3):
+    """|n| and whether it is 1 within 1e-9 (False for NaN), per state."""
+    norm = np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)
+    return norm, np.abs(norm - 1.0) <= 1e-9
+
+
+def _bloch_components(n1, n2, n3):
+    """c1 and c2 of the pure states with Bloch components n1, n2, n3, n3
+    already clipped into [-1, 1]: 1-d arrays, or NumPy scalars for one
+    state, on which the same ufuncs compute the same bits."""
+    half_polar = np.arccos(n3) / 2.0
+    azimuth = np.arctan2(n2, n1)
+    return np.cos(half_polar), np.sin(half_polar) * np.exp(1j * azimuth)
+
+
 def state_from_bloch(n1: float, n2: float, n3: float) -> DetectorState:
-    """Pure state with Bloch vector (n1, n2, n3): row 0 of states_from_bloch."""
-    states = states_from_bloch(np.array([[n1, n2, n3]], dtype=float))
-    return DetectorState(complex(states.c1[0]), complex(states.c2[0]))
+    """Pure state with Bloch vector (n1, n2, n3), bit for bit row 0 of
+    states_from_bloch.
+
+    The same ufuncs act on NumPy scalars; the clip is Python's min and max,
+    exact like np.clip, and the one state is checked by DetectorState
+    instead of DetectorStates.
+    """
+    n1, n2, n3 = np.float64(n1), np.float64(n2), np.float64(n3)
+    norm, unit = _bloch_norm(n1, n2, n3)
+    if not unit:
+        raise ValidationError(f"bloch vector must be unit length, |n| = {norm!r}")
+    c1, c2 = _bloch_components(n1, n2, min(max(n3, -1.0), 1.0))
+    return DetectorState(complex(c1), complex(c2))
 
 
 def states_from_bloch(bloch: np.ndarray) -> DetectorStates:
     """Pure states with the Bloch vectors in the rows of an (n, 3) array."""
     n1, n2, n3 = np.asarray(bloch, dtype=float).T
-    norm = np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)
-    bad = np.flatnonzero(~(np.abs(norm - 1.0) <= 1e-9))
+    norm, unit = _bloch_norm(n1, n2, n3)
+    bad = np.flatnonzero(~unit)
     if len(bad):
         raise ValidationError(
             f"bloch vector {bad[0]} must be unit length, |n| = {norm[bad[0]]!r}"
         )
-    half_polar = np.arccos(np.clip(n3, -1.0, 1.0)) / 2.0
-    azimuth = np.arctan2(n2, n1)
-    return DetectorStates(np.cos(half_polar), np.sin(half_polar) * np.exp(1j * azimuth))
+    return DetectorStates(*_bloch_components(n1, n2, np.clip(n3, -1.0, 1.0)))

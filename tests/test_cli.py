@@ -534,6 +534,57 @@ class TestBohr:
         main(["bohr", "--config", str(cfg), "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("grid", [
+        {"x_min": 0.01, "x_max": -0.01, "n_points": 128},
+        {"x_min": 0.0, "x_max": 1e-320, "n_points": 64},
+    ], ids=["reversed", "subnormal-spacing"])
+    def test_bad_grid_is_config_error(self, tmp_path, capsys, grid):
+        # bohr computes nothing on the grid, but a config is checked whole
+        cfg = write_config(tmp_path, grid=grid)
+        assert main(["bohr", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+
+
+def _cells_through_numpy(column):
+    """The serializer before it stopped importing NumPy: the reference."""
+    values = np.atleast_1d(column)
+    if values.dtype == np.bool_:
+        return ["true" if v else "false" for v in values.tolist()]
+    return ["%.17g" % v for v in values.tolist()]
+
+
+class TestSerialization:
+    """Python floats, bools and lists serialize as NumPy arrays of them did."""
+
+    COLUMNS = {
+        "float": 0.1,
+        "int": 3,
+        "bool": True,
+        "float64": np.float64(1 / 3),
+        "bool_": np.bool_(False),
+        "0-d": np.array(2.5e-300),
+        "floats": [0.0, -0.0, 1e-310, 6.62607015e-34, math.pi, 1e300],
+        "bools": [True, False],
+        "empty": [],
+        "array": np.linspace(-1.0, 1.0, 7),
+        "bool-array": np.array([False, True]),
+    }
+
+    @pytest.mark.parametrize("name", list(COLUMNS))
+    def test_cells_match_the_numpy_formatter(self, name):
+        from whichway.cli import _cells
+
+        assert _cells(self.COLUMNS[name]) == _cells_through_numpy(self.COLUMNS[name])
+
+    def test_json_lists_columns_and_not_scalars(self):
+        from whichway.cli import _emit_json
+
+        text = _emit_json({"a": [1.5], "b": np.array([True]), "c": np.float64(0.25),
+                           "d": np.array(0.5), "e": False})
+        assert text == '{"a": [1.5], "b": [true], "c": 0.25, "d": 0.5, "e": false}\n'
+
 
 class TestEntryPoints:
     def test_module_help_subprocess(self):
@@ -543,13 +594,13 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert "pattern" in proc.stdout and "scan-duality" in proc.stdout
 
-    @pytest.mark.parametrize("job", ["screen_dist-sweep", "overlap-sweep", "pattern"])
+    @pytest.mark.parametrize("job", ["screen_dist-sweep", "overlap-sweep", "pattern", "bohr"])
     def test_console_entry_point_writes_what_main_writes(self, tmp_path, capsys, job):
         # run() sets glibc's malloc thresholds before main; the bytes must not move
         run = {"geometry": dict(STANDARD_GEOMETRY), "detector": {"overlap": 0.6, "phase": 0.3}}
         cfg = tmp_path / "config.json"
-        if job == "pattern":
-            argv = ["pattern", "--config", str(cfg)]
+        if job in ("pattern", "bohr"):
+            argv = [job, "--config", str(cfg)]
             cfg.write_text(json.dumps(run))
         else:
             param = job.split("-")[0]
@@ -719,7 +770,7 @@ class TestOutOfMemory:
         assert not out.exists()
 
     def test_lattice_that_does_not_fit_names_its_size(self, monkeypatch, capsys):
-        monkeypatch.setattr("whichway.cli.bloch_sphere_lattice", _no_memory)
+        monkeypatch.setattr("whichway.qubit.bloch_sphere_lattice", _no_memory)
         assert main(["uncertainty-scan", "--samples", "77"]) == 1
         assert capsys.readouterr().err \
             == "config error: a lattice of 77 points does not fit in memory\n"

@@ -29,6 +29,30 @@ class TestGeometry:
             Geometry(5e-7, 3e-5, 1.0, 1e-5)
 
 
+class TestGridRule:
+    """The grid rule holds NumPy's limits without importing NumPy."""
+
+    def test_limits_are_numpys(self):
+        from whichway import packets
+
+        assert packets.MAX_FLOATS == np.iinfo(np.intp).max // 8
+        smallest_normal = np.finfo(float).smallest_normal
+        assert packets.grid_points(0.0, smallest_normal, 2) == 2
+        with pytest.raises(ValidationError, match="not a normal float"):
+            packets.grid_points(0.0, smallest_normal / 2, 2)
+
+    def test_bounds_and_count(self):
+        from whichway.packets import MAX_FLOATS, grid_points
+
+        assert grid_points(-1.0, 1.0, 64.0) == 64
+        for bounds in ((1.0, -1.0), (0.0, 0.0), (math.nan, 1.0), (0.0, math.inf)):
+            with pytest.raises(ValidationError):
+                grid_points(*bounds, 64)
+        for n in (1, 2.5, MAX_FLOATS + 1):
+            with pytest.raises(ValidationError, match="n_points"):
+                grid_points(-1.0, 1.0, n)
+
+
 class TestEffectiveTau:
     def test_hand_value(self, standard_geom):
         assert effective_tau(standard_geom) == pytest.approx(TAU, rel=1e-12)

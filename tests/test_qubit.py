@@ -287,6 +287,25 @@ class TestDetectorStates:
         np.testing.assert_array_equal([st.c1 for st in scalar], states.c1)
         np.testing.assert_array_equal([st.c2 for st in scalar], states.c2)
 
+    def test_state_from_bloch_is_row_0_of_a_one_row_array_bit_for_bit(self):
+        # the scalar path runs the same ufuncs on NumPy scalars; compare the
+        # bytes, so a sign of zero or a last bit cannot hide.  Both poles, and
+        # points past them within the unit-length tolerance, which the clip
+        # brings back to the poles.
+        points = [*bloch_sphere_lattice(10000), (0.0, 0.0, 1.0), (-0.0, -0.0, -1.0),
+                  (0.0, 0.0, 1.0 + 5e-10), (1e-6, -0.0, -1.0 - 5e-10), (0.6, -0.8, 0.0)]
+        for n1, n2, n3 in points:
+            state = state_from_bloch(n1, n2, n3)
+            row = states_from_bloch(np.array([[n1, n2, n3]]))
+            assert np.array([state.c1]).tobytes() == row.c1.tobytes(), (n1, n2, n3)
+            assert np.array([state.c2]).tobytes() == row.c2.tobytes(), (n1, n2, n3)
+
+    def test_state_from_bloch_rejects_a_non_unit_vector(self):
+        with pytest.raises(ValidationError, match="unit length"):
+            state_from_bloch(0.0, 0.0, 1.1)
+        with pytest.raises(ValidationError, match="unit length"):
+            state_from_bloch(float("nan"), 0.0, 1.0)
+
     def test_variance_clamps_residue_per_state(self):
         # <sigma_z> of the first state is just above 1
         states = DetectorStates(np.array([1.0 + 4e-13, SQ]), np.array([0.0, SQ]))
