@@ -213,6 +213,13 @@ def load_sweep_config(path: str) -> tuple[RunConfig, list[tuple[Geometry, Detect
     return base, runs
 
 
+def _grid(cfg: RunConfig, geometry: Geometry):
+    """The ScreenGrid the config configures, or else the default grid for geometry."""
+    from .pattern import ScreenGrid, default_grid
+
+    return ScreenGrid(*cfg.grid) if cfg.grid else default_grid(geometry)
+
+
 @contextmanager
 def _sized(what: str):
     """Name ``what`` in the MemoryError raised when it does not fit in memory."""
@@ -227,12 +234,12 @@ def _sized(what: str):
 # ---------------------------------------------------------------------------
 
 def _cmd_pattern(args) -> tuple[RunConfig, dict]:
-    from .pattern import JointState, ScreenGrid, closed_form_parts, default_grid, pattern_on_grid
+    from .pattern import JointState, closed_form_parts, pattern_on_grid
     from .qubit import make_detector_pair
 
     cfg = load_run_config(args.config)
     js = JointState(cfg.geometry, make_detector_pair(cfg.overlap, cfg.phase))
-    grid = ScreenGrid(*cfg.grid) if cfg.grid else default_grid(cfg.geometry)
+    grid = _grid(cfg, cfg.geometry)
     with _sized(f"a grid of {grid.n_points} points"):
         samples = pattern_on_grid(grid, js, mode="closed_form")
         envelope, interference = closed_form_parts(grid.xs(), js)
@@ -248,14 +255,13 @@ def _cmd_pattern(args) -> tuple[RunConfig, dict]:
 
 def _cmd_scan_duality(args) -> tuple[RunConfig, dict]:
     from .analysis import DualityReport, duality_report
-    from .pattern import ScreenGrid, default_grid
 
     base, runs = load_sweep_config(args.config)
     # one configured grid for every value, so it keeps its packets between them
-    configured = ScreenGrid(*base.grid) if base.grid else None
+    configured = _grid(base, base.geometry) if base.grid else None
     reports = []
     for geometry, pair in runs:
-        grid = configured or default_grid(geometry)
+        grid = configured or _grid(base, geometry)
         with _sized(f"a grid of {grid.n_points} points"):
             reports.append(duality_report(geometry, pair, grid))
     columns = {"s": [pair.overlap_mag for _, pair in runs]}
@@ -265,7 +271,7 @@ def _cmd_scan_duality(args) -> tuple[RunConfig, dict]:
 
 
 def _cmd_eraser(args) -> tuple[RunConfig, dict]:
-    from .pattern import JointState, ScreenGrid, conditional_patterns, default_grid
+    from .pattern import JointState, conditional_patterns
     from .qubit import make_detector_pair, rotated_basis
 
     cfg = load_run_config(args.config)
@@ -273,7 +279,7 @@ def _cmd_eraser(args) -> tuple[RunConfig, dict]:
         raise ValidationError("eraser subcommand requires eraser.enabled = true in the config")
     js = JointState(cfg.geometry, make_detector_pair(cfg.overlap, cfg.phase))
     basis = rotated_basis(cfg.basis_angle)
-    grid = ScreenGrid(*cfg.grid) if cfg.grid else default_grid(cfg.geometry)
+    grid = _grid(cfg, cfg.geometry)
     with _sized(f"a grid of {grid.n_points} points"):
         er = conditional_patterns(grid, js, basis)
     return cfg, {

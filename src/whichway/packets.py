@@ -22,6 +22,9 @@ from .errors import ValidationError
 #: The most float64 values one NumPy array can hold: NumPy's intp is C's
 #: ssize_t, whose largest value is sys.maxsize.
 MAX_FLOATS = sys.maxsize // 8
+#: The smallest normal float64 (NumPy's finfo(float).smallest_normal): below
+#: it a float has lost digits.
+SMALLEST_NORMAL = sys.float_info.min
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -81,7 +84,7 @@ def grid_points(x_min: float, x_max: float, n_points) -> int:
         raise ValidationError(f"x_min must be below x_max, got [{x_min}, {x_max}]")
     n_points = point_count(n_points)
     spacing = (x_max - x_min) / (n_points - 1)
-    if not sys.float_info.min <= spacing < math.inf:
+    if not SMALLEST_NORMAL <= spacing < math.inf:
         raise ValidationError(f"grid spacing {spacing!r} m is not a normal float")
     return n_points
 

@@ -32,7 +32,14 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 from .errors import NumericFailure, ValidationError
-from .packets import Geometry, effective_tau, evolution_constants, grid_points, point_count
+from .packets import (
+    SMALLEST_NORMAL,
+    Geometry,
+    effective_tau,
+    evolution_constants,
+    grid_points,
+    point_count,
+)
 from .qubit import DetectorPair, MeasurementBasis, inner_product
 
 #: Raw intensities in [CLAMP_FLOOR m, 0), m the larger of 1 and the largest
@@ -41,7 +48,6 @@ from .qubit import DetectorPair, MeasurementBasis, inner_product
 CLAMP_FLOOR = -1e-15
 
 _SQRT_HALF = math.sqrt(0.5)
-_SMALLEST_NORMAL = np.finfo(float).smallest_normal
 #: Points per block of the elementwise kernels: a block's scratch arrays stay
 #: in cache, so no kernel call makes a grid-sized temporary.
 _BLOCK = 8192
@@ -213,7 +219,7 @@ def default_grid(geom: Geometry, n_points: int = 8192) -> ScreenGrid:
     n_points = point_count(n_points)
     half_span = 5.0 * fringe_width(geom)
     spacing = 2.0 * half_span / (n_points - 1)
-    if not _SMALLEST_NORMAL <= spacing < math.inf:
+    if not SMALLEST_NORMAL <= spacing < math.inf:
         raise NumericFailure(
             f"default grid of +-{half_span!r} m over {n_points} points has spacing "
             f"{spacing!r} m, not a normal float"

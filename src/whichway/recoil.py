@@ -11,11 +11,10 @@ Only ``math`` is needed: this module and ``packets`` import no NumPy, so the
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 from .errors import NumericFailure, ValidationError
-from .packets import Geometry
+from .packets import SMALLEST_NORMAL, Geometry
 
 #: Planck's constant in J s, exact in the 2019 SI.
 PLANCK_H = 6.62607015e-34
@@ -60,7 +59,7 @@ def bohr_analysis(geom: Geometry) -> BohrReport:
     for name, value in (("delta_px", delta_px), ("delta_x", delta_x), ("fringe_sep", fringe_sep)):
         if not math.isfinite(value):
             raise NumericFailure(f"non-finite {name} in recoil report")
-    if not delta_x >= sys.float_info.min:
+    if not delta_x >= SMALLEST_NORMAL:
         raise NumericFailure(
             f"delta_x {delta_x!r} m is below the normal floats in recoil report "
             f"(fringe_sep {fringe_sep!r} m)"

@@ -35,12 +35,12 @@ RUN = {"geometry": {"lambda_d": 5e-7, "slit_sep": 1e-4, "screen_dist": 1.0,
 
 def loaded(statement: str, *argv: str) -> set[str]:
     """The modules loaded after ``statement`` runs in a fresh interpreter
-    whose arguments are argv."""
+    whose arguments are argv; the statement must succeed (a subcommand run
+    through ``run()`` exits 0)."""
     proc = subprocess.run([sys.executable, "-c", PROBE.format(statement=statement), *argv],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
-    lines = proc.stdout.splitlines()
-    assert lines, proc.stderr
-    return set(lines[-1].split())
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
 
 
 def subcommand_loads(tmp_path, command: str) -> set[str]:

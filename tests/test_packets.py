@@ -36,10 +36,10 @@ class TestGridRule:
         from whichway import packets
 
         assert packets.MAX_FLOATS == np.iinfo(np.intp).max // 8
-        smallest_normal = np.finfo(float).smallest_normal
-        assert packets.grid_points(0.0, smallest_normal, 2) == 2
+        assert packets.SMALLEST_NORMAL == np.finfo(float).smallest_normal
+        assert packets.grid_points(0.0, packets.SMALLEST_NORMAL, 2) == 2
         with pytest.raises(ValidationError, match="not a normal float"):
-            packets.grid_points(0.0, smallest_normal / 2, 2)
+            packets.grid_points(0.0, packets.SMALLEST_NORMAL / 2, 2)
 
     def test_bounds_and_count(self):
         from whichway.packets import MAX_FLOATS, grid_points
