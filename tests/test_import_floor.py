@@ -4,6 +4,8 @@ Every CLI job is a fresh process that pays for each module it imports.  The
 CLI imports neither scipy nor jsonschema; ``import whichway``, ``import
 whichway.cli`` and ``bohr`` load no NumPy; ``uncertainty-scan`` loads no
 ``pattern`` or ``analysis``, and ``pattern`` and ``eraser`` no ``analysis``.
+``scan-duality`` loads ``analysis`` but not ``numpy.polynomial``, which only
+the ``oscillatory_residual`` diagnostic uses.
 """
 import json
 import os
@@ -32,6 +34,9 @@ RUN = {"geometry": {"lambda_d": 5e-7, "slit_sep": 1e-4, "screen_dist": 1.0,
        "grid": {"x_min": -0.01, "x_max": 0.01, "n_points": 128},
        "eraser": {"enabled": True}}
 
+# two overlap values on RUN's 128-point grid
+SWEEP = {"base": RUN, "sweep_param": "overlap", "values": [0.3, 0.6]}
+
 
 def loaded(statement: str, *argv: str) -> set[str]:
     """The modules loaded after ``statement`` runs in a fresh interpreter
@@ -46,7 +51,7 @@ def loaded(statement: str, *argv: str) -> set[str]:
 def subcommand_loads(tmp_path, command: str) -> set[str]:
     """The modules loaded by one run of ``command`` through the CLI's entry point."""
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(RUN))
+    cfg.write_text(json.dumps(SWEEP if command == "scan-duality" else RUN))
     args = ["--samples", "5"] if command == "uncertainty-scan" else ["--config", str(cfg)]
     modules = loaded("import whichway.cli\n    whichway.cli.run()",
                      command, *args, "--out", str(tmp_path / "out"))
@@ -87,6 +92,12 @@ def test_pattern_and_eraser_load_no_analysis(tmp_path, command):
     modules = subcommand_loads(tmp_path, command)
     assert "whichway.pattern" in modules
     assert "whichway.analysis" not in modules
+
+
+def test_scan_duality_loads_analysis_but_no_polynomial_fit(tmp_path):
+    modules = subcommand_loads(tmp_path, "scan-duality")
+    assert "whichway.analysis" in modules
+    assert packages(modules, "numpy") and "numpy.polynomial" not in modules
 
 
 class TestPublicNames:
