@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,6 +61,9 @@ FLATNESS_RTOL = 1e-9
 
 #: Slack on the duality inequalities (absorbs estimator error at the bound).
 DUALITY_TOL = 1e-9
+
+#: The eraser observable's basis, built once for every duality report.
+_ERASER_BASIS = mub_basis()
 
 @dataclass(frozen=True)
 class DualityReport:
@@ -241,13 +245,22 @@ def _cis(step: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     to 53 - p bits by Veltkamp's split (count <= 2^p): every j hi is exact,
     and the rest j lo, below 2^(p - 53) of the angle, enters to first order.
     """
-    j = np.arange(count)
+    j = _indices(count)
     split = step * ((1 << (count - 1).bit_length()) + 1)
     hi = split - (split - step)
     angle = j * hi
     rest = j * (step - hi)
     cos, sin = np.cos(angle), np.sin(angle)
     return cos - rest * sin, sin + rest * cos
+
+
+@lru_cache(maxsize=4)
+def _indices(count: int) -> np.ndarray:
+    """0 .. count - 1 as read-only floats, kept for the last few counts: a
+    grid's demodulation asks for the same two on every pattern."""
+    j = np.arange(count, dtype=float)
+    j.flags.writeable = False
+    return j
 
 
 def numeric_visibility(pattern: PatternSamples) -> float:
@@ -271,18 +284,19 @@ def numeric_visibility(pattern: PatternSamples) -> float:
     ref = pattern.which_way()
     ref_total = float(wts @ ref)
     r = np.subtract(pattern.intensity, ref, out=ref)
-    if float(np.max(np.abs(r))) < FLATNESS_RTOL * peak:
+    tol = FLATNESS_RTOL * peak
+    if r.max() < tol and r.min() > -tol:  # every |r| below tol
         return 0.0
     r *= wts
     spectrum = np.abs(np.fft.rfft(r))
     if len(spectrum) < 3:  # no interior bin
         return 0.0
-    j = 1 + int(np.argmax(spectrum[1:-1]))
+    j = 1 + int(spectrum[1:-1].argmax())
     # the lobe is symmetric, so the 3-point quadratic fit in log-magnitude
     # is exact up to rounding; freq counts cycles over the n samples
     freq = float(j)
     trio = spectrum[j - 1 : j + 2]
-    if np.all(trio > 0.0):
+    if trio.min() > 0.0:
         lm, l0, lp = np.log(trio)
         denom = lm - 2.0 * l0 + lp
         if denom != 0.0:
@@ -302,7 +316,7 @@ def eraser_branch_visibilities(er: EraserResult) -> tuple[float, float]:
 
 def _eraser_observable_expectation(js: JointState) -> float:
     """Mean of the +1/-1 eraser observable over the path-weighted detector states."""
-    basis = mub_basis()
+    basis = _ERASER_BASIS
     w1 = abs(js.path_amps[0]) ** 2
     w2 = abs(js.path_amps[1]) ** 2
     p_plus = (

@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from typing import TYPE_CHECKING
 
@@ -158,17 +158,21 @@ def _load_json(path: str) -> dict:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
 
 
-def _run_config_from_dict(raw: dict) -> RunConfig:
-    error = schema_error(raw, _SCHEMA)
-    if error is not None:
-        raise ValidationError(f"config rejected by schema: {error}")
-    geo = raw["geometry"]
-    geometry = Geometry(
+def _geometry(geo: dict) -> Geometry:
+    """The Geometry of a config's geometry block."""
+    return Geometry(
         wavelength=geo["lambda_d"],
         slit_sep=geo["slit_sep"],
         screen_dist=geo["screen_dist"],
         packet_width=geo["packet_width"],
     )
+
+
+def _run_config_from_dict(raw: dict) -> RunConfig:
+    error = schema_error(raw, _SCHEMA)
+    if error is not None:
+        raise ValidationError(f"config rejected by schema: {error}")
+    geometry = _geometry(raw["geometry"])
     grid_cfg = raw.get("grid")
     grid = None
     if grid_cfg is not None:
@@ -194,7 +198,9 @@ def load_run_config(path: str) -> RunConfig:
 
 def load_sweep_config(path: str) -> tuple[RunConfig, list[tuple[Geometry, DetectorPair]]]:
     """The base config, and the geometry and detector pair of every sweep
-    value, all built (so all checked) before anything is evaluated."""
+    value, all built (so all checked) before anything is evaluated.  A
+    geometry sweep builds the base detector pair once, after its first
+    geometry, and shares it between the values."""
     from .qubit import make_detector_pair
 
     raw = _load_json(path)
@@ -203,13 +209,17 @@ def load_sweep_config(path: str) -> tuple[RunConfig, list[tuple[Geometry, Detect
         raise ValidationError(f"sweep config rejected by schema: {error}")
     base = _run_config_from_dict(raw["base"])
     param = raw["sweep_param"]
-    runs = []
-    for value in map(float, raw["values"]):
-        if param in ("overlap", "phase"):
-            run = replace(base, **{param: value})
-        else:
-            run = replace(base, geometry=replace(base.geometry, **{param: value}))
-        runs.append((run.geometry, make_detector_pair(run.overlap, run.phase)))
+    values = map(float, raw["values"])
+    if param == "overlap":
+        return base, [(base.geometry, make_detector_pair(v, base.phase)) for v in values]
+    if param == "phase":
+        return base, [(base.geometry, make_detector_pair(base.overlap, v)) for v in values]
+    runs, pair = [], None
+    for value in values:
+        geometry = _geometry({**raw["base"]["geometry"], param: value})
+        if pair is None:
+            pair = make_detector_pair(base.overlap, base.phase)
+        runs.append((geometry, pair))
     return base, runs
 
 
@@ -255,13 +265,14 @@ def _cmd_pattern(args) -> tuple[RunConfig, dict]:
 
 def _cmd_scan_duality(args) -> tuple[RunConfig, dict]:
     from .analysis import DualityReport, duality_report
+    from .pattern import default_grid
 
     base, runs = load_sweep_config(args.config)
     # one configured grid for every value, so it keeps its packets between them
     configured = _grid(base, base.geometry) if base.grid else None
     reports = []
     for geometry, pair in runs:
-        grid = configured or _grid(base, geometry)
+        grid = configured or default_grid(geometry)
         with _sized(f"a grid of {grid.n_points} points"):
             reports.append(duality_report(geometry, pair, grid))
     columns = {"s": [pair.overlap_mag for _, pair in runs]}

@@ -56,7 +56,7 @@ class Geometry:
             warnings.warn(
                 f"slit_sep = {self.slit_sep:g} m is within 4 packet widths "
                 f"({self.packet_width:g} m); the two packets overlap already at the slits",
-                stacklevel=2,
+                stacklevel=3,  # past __post_init__ and the __init__ dataclass writes
             )
 
 

@@ -13,9 +13,12 @@ The direct and conditional routes start from the two evolved branch packets.
 The packets depend only on the grid and the geometry; detector states and
 path amplitudes merely weight their moduli and their cross term, so patterns
 for many detector states on one grid and geometry evolve them once and
-combine them per state.  ``PatternSamples.which_way`` combines a pattern's
-packets again with the cross term removed: the which-way reference the
-visibility estimator reads the pattern against.  The packets' cross phase phi takes its cos and sin
+combine them per state.  The packets also keep their which-way sum
+w1 |g1|^2 + w2 |g2|^2 for the last path weights a direct pattern on a grid
+asked for: the direct pattern adds the cross term to a copy of it, and
+``PatternSamples.which_way``, the which-way reference the visibility
+estimator reads the pattern against, is that sum doubled and normalized,
+with no second combine.  The packets' cross phase phi takes its cos and sin
 from t = tan(phi/2), as (1 - t^2)/(1 + t^2) and 2t/(1 + t^2), which NumPy
 computes several times faster than cos and sin.  The closed form keeps
 ``np.cos``: it stays an oracle derived apart from the packets, and its
@@ -60,7 +63,8 @@ class ScreenGrid:
     The positions, their quadrature weights and the packets of the direct
     and conditional routes are computed on first use and kept with the grid,
     so every direct pattern, eraser pattern and estimate on one grid object
-    shares them.
+    shares them.  The packets keep their which-way sum for the last path
+    weights a direct pattern or a which-way reference asked for.
     """
 
     x_min: float
@@ -165,12 +169,14 @@ class PatternSamples:
         It is what the screen shows when the detector states are orthogonal
         (a perfect which-way record): the same packets with the same path
         weights, with no interference, divided by this pattern's
-        norm_constant.  It is combined from the direct route's packets
-        whatever the provenance.  Raises NumericFailure when it leaves the
-        float range.
+        norm_constant.  It reads the which-way sum the direct route's
+        packets keep for these path weights, whatever the provenance, so
+        after a direct pattern on the same grid it combines nothing.
+        Raises NumericFailure when it leaves the float range.
         """
-        ref = _combine(self.grid._packets(self.geom), *self.path_weights, 0.0)
+        kept = self.grid._packets(self.geom).which_way_sum(*self.path_weights)
         with np.errstate(over="ignore"):
+            ref = np.multiply(kept, 2.0)
             ref /= self.norm_constant
         if not math.isfinite(ref.max()):  # a NaN shows in the maximum too
             raise NumericFailure("the which-way reference is outside the float range")
@@ -274,6 +280,18 @@ class BranchPackets:
     cross_re: np.ndarray
     cross_im: np.ndarray
 
+    def which_way_sum(self, w1: float, w2: float) -> np.ndarray:
+        """w1 |g1|^2 + w2 |g2|^2, read-only.
+
+        The sum for the last weights asked for is kept with the packets, so
+        it goes when a grid drops them for another geometry.
+        """
+        kept = self.__dict__.get("_kept_sum")
+        if kept is None or kept[0] != (w1, w2):
+            kept = ((w1, w2), _read_only(_combine(self, w1, w2)))
+            object.__setattr__(self, "_kept_sum", kept)
+        return kept[1]
+
 
 def _evolve(xs: np.ndarray, geom: Geometry) -> BranchPackets:
     """The packets g_j = A_t exp(-(x - c_j)^2 / beta) of ``geom`` at xs, in
@@ -333,17 +351,28 @@ def _evolve(xs: np.ndarray, geom: Geometry) -> BranchPackets:
     return BranchPackets(*arrays)
 
 
-def _combine(packets: BranchPackets, w1: float, w2: float, c: complex):
-    """2 (w1 |g1|^2 + w2 |g2|^2 + 2 Re(c conj(g1) g2)) as a fresh array."""
-    def block(mod1, mod2, cross_re, cross_im):
-        out = w1 * mod1
-        out += w2 * mod2
-        out += (2.0 * c.real) * cross_re
-        out -= (2.0 * c.imag) * cross_im
-        out *= 2.0
+def _combine(packets: BranchPackets, w1: float, w2: float, c: complex | None = None,
+             kept_sum: np.ndarray | None = None):
+    """2 (P + 2 Re(c conj(g1) g2)) as a fresh array, where
+    P = w1 |g1|^2 + w2 |g2|^2 is the packets' which-way sum; P itself when c
+    is None.  A kept_sum, which must be that P, is copied; otherwise P is
+    combined here and the cross term added to it in place."""
+    def block(mod1, mod2, cross_re, cross_im, *kept):
+        if kept:
+            out = kept[0].copy()
+        else:
+            out = w1 * mod1
+            out += w2 * mod2
+        if c is not None:
+            out += (2.0 * c.real) * cross_re
+            out -= (2.0 * c.imag) * cross_im
+            out *= 2.0
         return out
 
-    return _blockwise(block, (packets.mod1, packets.mod2, packets.cross_re, packets.cross_im), 1)
+    arrays = (packets.mod1, packets.mod2, packets.cross_re, packets.cross_im)
+    if kept_sum is not None:
+        arrays += (kept_sum,)
+    return _blockwise(block, arrays, 1)
 
 
 def intensity_direct(x, js: JointState):
@@ -353,17 +382,21 @@ def intensity_direct(x, js: JointState):
     g the evolved packet, taken from |g1|^2, |g2|^2 and conj(g1) g2 in real
     arithmetic.  Works for any path amplitudes.  x is a position, an array of
     them, or a ScreenGrid: the grid keeps the packets of the last geometry it
-    was given, so calls for many detector states on one grid and geometry
-    evolve them once.  On positions the packets are evolved and combined one
-    block at a time and never held for all the points.
+    was given, and they keep their which-way sum for the last path weights,
+    so calls for many detector states on one grid, geometry and path weights
+    evolve the packets and sum their moduli once.  On positions the packets
+    are evolved and combined one block at a time and never held for all the
+    points.
     """
     geom = js.geom
     ip = inner_product(js.pair.d1, js.pair.d2)
     a1, a2 = js.path_amps
-    weights = (*js.path_weights(), a1.conjugate() * a2 * ip)
+    w1, w2 = js.path_weights()
+    c = a1.conjugate() * a2 * ip
     if isinstance(x, ScreenGrid):
-        return _combine(x._packets(geom), *weights)
-    return _eval_checked(x, lambda xs: _combine(_evolve(xs, geom), *weights))
+        packets = x._packets(geom)
+        return _combine(packets, w1, w2, c, packets.which_way_sum(w1, w2))
+    return _eval_checked(x, lambda xs: _combine(_evolve(xs, geom), w1, w2, c))
 
 
 def intensity_closed_form(x, js: JointState):

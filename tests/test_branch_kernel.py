@@ -5,8 +5,10 @@ their cross phase's cos and sin, taken from the tangent of the half phase,
 match np.cos and np.sin; the direct route agrees with the closed form and
 with the four-term complex expansion; the eraser branches add up to the
 direct pattern; the in-place clamp equals the old copying one bit for bit;
-and kernels evaluated in blocks equal one evaluation over all the points bit
-for bit.
+the direct pattern and its which-way reference, read from the which-way sum
+the packets keep, equal two full combines bit for bit, however one grid is
+reused; and kernels evaluated in blocks equal one evaluation over all the
+points bit for bit.
 """
 import cmath
 import math
@@ -112,6 +114,62 @@ def test_eraser_is_complete(geom, pair, amps, basis):
     assert np.max(np.abs(er.i_b.intensity + er.i_b_perp.intensity - direct)) \
         <= 1e-12 * np.max(direct)
     assert sum(er.branch_weights) == pytest.approx(1.0, abs=1e-12)
+
+
+# the ranges of the in-schema configs in test_properties.py, packets that
+# overlap at the slits included
+schema_geometries = st.builds(Geometry, st.floats(4e-7, 6e-7), st.floats(5e-5, 2e-4),
+                              st.floats(0.5, 2.0), st.floats(2.5e-6, 2.5e-5))
+any_amps = st.just((math.sqrt(0.5), math.sqrt(0.5))) | unequal_amps
+
+
+def _two_combines(grid, js):
+    """The direct pattern, its norm_constant and its which-way reference as
+    two full combines of the packets: _combine with the cross weight c,
+    normalized, and _combine with c = 0, divided by the norm_constant."""
+    packets = grid._packets(js.geom)
+    w1, w2 = js.path_weights()
+    a1, a2 = js.path_amps
+    c = a1.conjugate() * a2 * inner_product(js.pair.d1, js.pair.d2)
+    intensity, total = _clamp_and_normalize(grid._weights, [pattern._combine(packets, w1, w2, c)])
+    reference = pattern._combine(packets, w1, w2, 0.0) / total
+    return intensity.tobytes(), total, reference.tobytes()
+
+
+def _kept_sum_bits(grid, js):
+    """What pattern_on_grid and which_way give for js on grid, in the form
+    of _two_combines."""
+    samples = pattern_on_grid(grid, js)
+    return samples.intensity.tobytes(), samples.norm_constant, samples.which_way().tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:slit_sep:UserWarning")
+@settings(max_examples=80, deadline=None)
+@given(schema_geometries, pairs, any_amps, st.sampled_from([128, POINTS, 3 * 8192 + 5]))
+def test_kept_which_way_sum_gives_the_bits_of_two_combines(geom, pair, amps, n_points):
+    js = JointState(geom, pair, amps)
+    grid = default_grid.__wrapped__(geom, n_points)
+    fresh = ScreenGrid(grid.x_min, grid.x_max, grid.n_points)
+    assert _kept_sum_bits(grid, js) == _two_combines(fresh, js)
+
+
+def test_one_grid_reused_across_geometries_and_path_weights_keeps_the_bits():
+    # geometry A, then B, then A again, each with two sets of path weights
+    # and back, and an eraser's which-way reference in between: the kept
+    # packets and which-way sum change hands, and every pattern and
+    # reference equals one on a fresh grid
+    near, far = Geometry(5e-7, 1e-4, 1.0, 1e-5), Geometry(5e-7, 1e-4, 2.0, 1e-5)
+    shared = ScreenGrid(-0.02, 0.02, 2048)
+    amp_sets = [(math.sqrt(0.5), math.sqrt(0.5)), (0.6, 0.8j), (math.sqrt(0.5), math.sqrt(0.5))]
+    basis = MeasurementBasis(DetectorState(0.8, 0.6), DetectorState(0.6, -0.8))
+    for geom in (near, far, near):
+        for amps in amp_sets:
+            js = JointState(geom, make_detector_pair(0.7, 0.4), amps)
+            fresh = ScreenGrid(shared.x_min, shared.x_max, shared.n_points)
+            assert _kept_sum_bits(shared, js) == _two_combines(fresh, js)
+            eraser = conditional_patterns(shared, js, basis)
+            fresh_eraser = conditional_patterns(fresh, js, basis)
+            assert eraser.i_b.which_way().tobytes() == fresh_eraser.i_b.which_way().tobytes()
 
 
 @pytest.mark.parametrize("wavelength, screen_dist", [(5e-7, 1.0), (4e-7, 0.5), (6e-7, 2.0)])

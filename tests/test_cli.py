@@ -510,6 +510,23 @@ class TestUncertaintyScan:
 
 
 class TestBohr:
+    @pytest.mark.parametrize("sweep", [False, True])
+    def test_overlap_warning_names_the_config_loader(self, tmp_path, sweep):
+        # packets that overlap at the slits warn from the code that built
+        # the Geometry: the loader of a run config or of a geometry sweep
+        thick = dict(STANDARD_GEOMETRY, slit_sep=3e-5)
+        cfg = write_config(tmp_path, geometry=thick)
+        command = "bohr"
+        if sweep:
+            command = "scan-duality"
+            cfg.write_text(json.dumps({
+                "base": {"geometry": STANDARD_GEOMETRY, "detector": {"overlap": 0.5},
+                         "grid": {"x_min": -0.02, "x_max": 0.02, "n_points": 256}},
+                "sweep_param": "packet_width", "values": [2.6e-5]}))
+        with pytest.warns(UserWarning, match="overlap already at the slits") as record:
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert [w.filename for w in record] == [whichway.cli.__file__]
+
     def test_json_report(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "bohr.json"

@@ -8,7 +8,8 @@ all-samples residual, its block-split demodulation sum agrees with the
 direct sum, and its visibility keeps every pure detector state within the
 duality bound.  default_grid keeps the last grid it made, so duality
 reports for many detector states on one geometry evolve the packets
-once."""
+once; an overlap or phase sweep also sums their moduli once, a screen_dist
+sweep once per value."""
 import dataclasses
 import json
 import math
@@ -160,6 +161,37 @@ def test_one_spectrum_per_fringed_pattern_and_none_per_flat_one(name):
             fringed = JointState(geom, make_detector_pair(overlap, phase))
             visibility, spectra = _counted_visibility(pattern_on_grid(grid, fringed))
             assert visibility > 0.0 and spectra == 1
+
+
+def _counted_sweep(tmp_path, param, values, grid):
+    """Run scan-duality over values; the packet evolutions and the which-way
+    sums it built, each sum one _combine(packets, w1, w2) call."""
+    default_grid.cache_clear()  # so no grid keeps the packets yet
+    base = {"geometry": GEOMETRY, "detector": {"overlap": 0.6, "phase": 0.3}}
+    if grid:
+        base["grid"] = GRID
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"base": base, "sweep_param": param, "values": values}))
+    with mock.patch.object(pattern, "_evolve", wraps=pattern._evolve) as evolve, \
+            mock.patch.object(pattern, "_combine", wraps=pattern._combine) as combine:
+        assert main(["scan-duality", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    sums = [call for call in combine.call_args_list if len(call.args) == 3 and not call.kwargs]
+    return evolve.call_count, len(sums)
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["default-grid", "configured-grid"])
+@pytest.mark.parametrize("param, values", [
+    ("overlap", [0.0, 0.3, 0.6, 0.9, 1.0]),
+    ("phase", [-3.0, -1.0, 0.2, 1.5, 3.1]),
+])
+def test_detector_sweep_evolves_and_sums_the_packets_once(tmp_path, param, values, grid):
+    assert _counted_sweep(tmp_path, param, values, grid) == (1, 1)
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["default-grid", "configured-grid"])
+def test_screen_dist_sweep_evolves_and_sums_the_packets_once_per_value(tmp_path, grid):
+    values = [1.61, 1.62, 1.63, 1.64]
+    assert _counted_sweep(tmp_path, "screen_dist", values, grid) == (4, 4)
 
 
 SWEEP_VALUES = {
