@@ -32,7 +32,7 @@ Extrema positions (plateau-aware scan plus 3-point parabolic refinement) are
 exposed separately for fringe-spacing measurements and eraser checks.
 
 The recoil report (``PLANCK_H``, ``BohrReport``, ``bohr_analysis``) lives in
-``recoil``, which imports no NumPy, and is re-exported here.
+``recoil``, which imports no NumPy.
 """
 from __future__ import annotations
 
@@ -53,7 +53,6 @@ from .pattern import (
     pattern_on_grid,
 )
 from .qubit import DetectorPair, PAULI_Z, inner_product, mub_basis, variance
-from .recoil import PLANCK_H, BohrReport, bohr_analysis  # noqa: F401  (exported here too)
 
 #: Largest deviation from the which-way reference, relative to the peak, below
 #: which a pattern counts as fringe-free.
@@ -317,8 +316,7 @@ def eraser_branch_visibilities(er: EraserResult) -> tuple[float, float]:
 def _eraser_observable_expectation(js: JointState) -> float:
     """Mean of the +1/-1 eraser observable over the path-weighted detector states."""
     basis = _ERASER_BASIS
-    w1 = abs(js.path_amps[0]) ** 2
-    w2 = abs(js.path_amps[1]) ** 2
+    w1, w2, _ = js.path_state()
     p_plus = (
         w1 * abs(inner_product(basis.b1, js.pair.d1)) ** 2
         + w2 * abs(inner_product(basis.b1, js.pair.d2)) ** 2

@@ -10,10 +10,10 @@ suite enforces; keep them independent.
 before squaring, producing the eraser's conditioned fringe/antifringe pair.
 
 The direct and conditional routes start from the two evolved branch packets.
-The packets depend only on the grid and the geometry; detector states and
-path amplitudes merely weight their moduli and their cross term, so patterns
-for many detector states on one grid and geometry evolve them once and
-combine them per state.  The packets also keep their which-way sum
+The packets depend only on the grid and the geometry; the detector only
+weights their moduli and their cross term, through ``JointState.path_state``,
+so patterns for many detector states on one grid and geometry evolve them
+once and combine them per state.  The packets also keep their which-way sum
 w1 |g1|^2 + w2 |g2|^2 for the last path weights a direct pattern on a grid
 asked for: the direct pattern adds the cross term to a copy of it, and
 ``PatternSamples.which_way``, the which-way reference the visibility
@@ -43,7 +43,7 @@ from .packets import (
     grid_points,
     point_count,
 )
-from .qubit import DetectorPair, MeasurementBasis, inner_product
+from .qubit import DetectorPair, DetectorState, MeasurementBasis, inner_product
 
 #: Raw intensities in [CLAMP_FLOOR m, 0), m the larger of 1 and the largest
 #: raw value, are rounding residue and are clamped to 0; anything below is a
@@ -138,9 +138,22 @@ class JointState:
     def has_equal_amps(self) -> bool:
         return abs(self.path_amps[0] - self.path_amps[1]) <= 1e-12
 
-    def path_weights(self) -> tuple[float, float]:
-        """|a1|^2 and |a2|^2, the weights of the two packets' moduli."""
-        return abs(self.path_amps[0]) ** 2, abs(self.path_amps[1]) ** 2
+    def path_state(self, outcome: DetectorState | None = None) -> tuple[float, float, complex]:
+        """(w1, w2, c), the path qubit's state: what the screen sees of the
+        detector.  Each pattern is 2 (w1 |g1|^2 + w2 |g2|^2 + 2 Re(c conj(g1) g2)).
+
+        Unconditioned it is (|a1|^2, |a2|^2, conj(a1) a2 <d1|d2>), and |c| sets
+        the fringe visibility.  Given a detector outcome b it is the state
+        conditioned on b, unnormalized: (|k1|^2, |k2|^2, conj(k1) k2) with
+        k_j = <b|d_j> a_j.  The outcomes of a basis add up to the former.
+        """
+        a1, a2 = self.path_amps
+        if outcome is None:
+            ip = inner_product(self.pair.d1, self.pair.d2)
+            return abs(a1) ** 2, abs(a2) ** 2, a1.conjugate() * a2 * ip
+        k1 = inner_product(outcome, self.pair.d1) * a1
+        k2 = inner_product(outcome, self.pair.d2) * a2
+        return abs(k1) ** 2, abs(k2) ** 2, k1.conjugate() * k2
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,21 +391,16 @@ def _combine(packets: BranchPackets, w1: float, w2: float, c: complex | None = N
 def intensity_direct(x, js: JointState):
     """Screen intensity via the four-term amplitude expansion.
 
-    sum_ij conj(a_i) a_j <d_i|d_j> conj(g_i) g_j over the two branches, each
-    g the evolved packet, taken from |g1|^2, |g2|^2 and conj(g1) g2 in real
-    arithmetic.  Works for any path amplitudes.  x is a position, an array of
-    them, or a ScreenGrid: the grid keeps the packets of the last geometry it
-    was given, and they keep their which-way sum for the last path weights,
-    so calls for many detector states on one grid, geometry and path weights
-    evolve the packets and sum their moduli once.  On positions the packets
-    are evolved and combined one block at a time and never held for all the
-    points.
+    The packets' |g1|^2, |g2|^2 and conj(g1) g2, in real arithmetic, weighted
+    by ``js.path_state()``.  x is a position, an array of them, or a
+    ScreenGrid: the grid keeps the packets of the last geometry it was given,
+    and they keep their which-way sum for the last path weights, so calls for
+    many detector states on one grid, geometry and path weights evolve the
+    packets and sum their moduli once.  On positions the packets are evolved
+    and combined one block at a time and never held for all the points.
     """
     geom = js.geom
-    ip = inner_product(js.pair.d1, js.pair.d2)
-    a1, a2 = js.path_amps
-    w1, w2 = js.path_weights()
-    c = a1.conjugate() * a2 * ip
+    w1, w2, c = js.path_state()
     if isinstance(x, ScreenGrid):
         packets = x._packets(geom)
         return _combine(packets, w1, w2, c, packets.which_way_sum(w1, w2))
@@ -508,7 +516,7 @@ def pattern_on_grid(grid: ScreenGrid, js: JointState, mode: str = "direct") -> P
     else:
         raw = intensity_closed_form(grid.xs(), js)
     intensity, total = _clamp_and_normalize(grid._weights, [raw])
-    return PatternSamples(grid, intensity, total, mode, js.geom, js.path_weights())
+    return PatternSamples(grid, intensity, total, mode, js.geom, js.path_state()[:2])
 
 
 def conditional_patterns(grid: ScreenGrid, js: JointState, basis: MeasurementBasis) -> EraserResult:
@@ -520,20 +528,14 @@ def conditional_patterns(grid: ScreenGrid, js: JointState, basis: MeasurementBas
     """
     _check_fringe_resolution(grid, js.geom)
     packets = grid._packets(js.geom)
-    a1, a2 = js.path_amps
-    raws, weights = [], []
-    for b in (basis.b1, basis.b2):
-        # |sqrt2 (k1 g1 + k2 g2)|^2 with k_j = <b|d_j> a_j
-        k1 = inner_product(b, js.pair.d1) * a1
-        k2 = inner_product(b, js.pair.d2) * a2
-        weights.append((abs(k1) ** 2, abs(k2) ** 2))
-        raws.append(_combine(packets, *weights[-1], k1.conjugate() * k2))
+    states = [js.path_state(b) for b in (basis.b1, basis.b2)]  # given each outcome
+    raws = [_combine(packets, *state) for state in states]
     wts = grid._weights
     i_b, i_p, total = _clamp_and_normalize(wts, raws)
     return EraserResult(
-        i_b=PatternSamples(grid, i_b, total, "conditional", js.geom, weights[0]),
-        i_b_perp=PatternSamples(grid, i_p, total, "conditional", js.geom, weights[1]),
+        i_b=PatternSamples(grid, i_b, total, "conditional", js.geom, states[0][:2]),
+        i_b_perp=PatternSamples(grid, i_p, total, "conditional", js.geom, states[1][:2]),
         i_sum=PatternSamples(grid, i_b + i_p, total, "conditional", js.geom,
-                             js.path_weights()),
+                             js.path_state()[:2]),
         branch_weights=(float(wts @ i_b), float(wts @ i_p)),
     )

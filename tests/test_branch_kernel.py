@@ -4,7 +4,8 @@ Its kept arrays are |g1|^2, |g2|^2 and conj(g1) g2 of the complex packets;
 their cross phase's cos and sin, taken from the tangent of the half phase,
 match np.cos and np.sin; the direct route agrees with the closed form and
 with the four-term complex expansion; the eraser branches add up to the
-direct pattern; the in-place clamp equals the old copying one bit for bit;
+direct pattern, and the path states of a basis's outcomes to the
+unconditioned one; the in-place clamp equals the old copying one bit for bit;
 the direct pattern and its which-way reference, read from the which-way sum
 the packets keep, equal two full combines bit for bit, however one grid is
 reused; and kernels evaluated in blocks equal one evaluation over all the
@@ -27,6 +28,7 @@ from whichway import (  # noqa: E402
     DetectorState, Geometry, JointState, MeasurementBasis, ScreenGrid, closed_form_parts,
     conditional_patterns, default_grid, effective_tau, evolved_amplitude, fringe_width,
     inner_product, intensity_closed_form, intensity_direct, make_detector_pair, pattern_on_grid,
+    rotated_basis,
 )
 from whichway import pattern  # noqa: E402
 from whichway.pattern import CLAMP_FLOOR, _clamp_and_normalize  # noqa: E402
@@ -116,6 +118,24 @@ def test_eraser_is_complete(geom, pair, amps, basis):
     assert sum(er.branch_weights) == pytest.approx(1.0, abs=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(-math.pi, math.pi), unequal_amps,
+       st.floats(-math.pi, math.pi))
+def test_path_states_of_the_outcomes_add_up_to_the_unconditioned_one(s, theta, amps, angle):
+    # the eraser's completeness at its source: sum_b |<b|d_j>|^2 = 1 and
+    # sum_b conj(<b|d1>) <b|d2> = <d1|d2>
+    geom = Geometry(5e-7, 1e-4, 1.0, 1e-5)
+    js = JointState(geom, make_detector_pair(s, theta), amps)
+    basis = rotated_basis(angle)
+    outcomes = [js.path_state(b) for b in (basis.b1, basis.b2)]
+    for whole, parts in zip(js.path_state(), zip(*outcomes)):
+        assert abs(sum(parts) - whole) <= 1e-15
+    er = conditional_patterns(default_grid(geom, 128), js, basis)
+    for whole, parts in zip(er.i_sum.path_weights,
+                            zip(er.i_b.path_weights, er.i_b_perp.path_weights)):
+        assert abs(sum(parts) - whole) <= 1e-15
+
+
 # the ranges of the in-schema configs in test_properties.py, packets that
 # overlap at the slits included
 schema_geometries = st.builds(Geometry, st.floats(4e-7, 6e-7), st.floats(5e-5, 2e-4),
@@ -128,8 +148,8 @@ def _two_combines(grid, js):
     two full combines of the packets: _combine with the cross weight c,
     normalized, and _combine with c = 0, divided by the norm_constant."""
     packets = grid._packets(js.geom)
-    w1, w2 = js.path_weights()
     a1, a2 = js.path_amps
+    w1, w2 = abs(a1) ** 2, abs(a2) ** 2
     c = a1.conjugate() * a2 * inner_product(js.pair.d1, js.pair.d2)
     intensity, total = _clamp_and_normalize(grid._weights, [pattern._combine(packets, w1, w2, c)])
     reference = pattern._combine(packets, w1, w2, 0.0) / total

@@ -126,7 +126,8 @@ class TestPublicNames:
     def test_names_come_from_their_home_modules(self):
         from whichway import analysis, cli, recoil
 
-        assert whichway.bohr_analysis is recoil.bohr_analysis is analysis.bohr_analysis
-        assert whichway.BohrReport is analysis.BohrReport
-        assert analysis.PLANCK_H == recoil.PLANCK_H
+        assert whichway.bohr_analysis is recoil.bohr_analysis
+        assert whichway.BohrReport is recoil.BohrReport
+        # the recoil report has one home: analysis does not re-export it
+        assert {"PLANCK_H", "BohrReport", "bohr_analysis"}.isdisjoint(vars(analysis))
         assert cli.duality_report is analysis.duality_report

@@ -1,4 +1,5 @@
 """Screen patterns: direct vs closed-form routes, normalization, eraser conditioning."""
+import cmath
 import math
 import tracemalloc
 
@@ -53,6 +54,41 @@ class TestJointState:
     def test_rejects_unnormalized_amps(self, standard_geom):
         with pytest.raises(ValidationError):
             JointState(standard_geom, make_detector_pair(0.5), path_amps=(1.0, 1.0))
+
+    def test_path_state_is_the_seam_to_every_packet_pattern(self, standard_geom, monkeypatch):
+        # mixed path states (w1 != w2, |c|^2 < w1 w2), none of which a pure
+        # detector state gives, reach the direct pattern, its which-way
+        # reference and each eraser branch through path_state alone
+        basis = rotated_basis(0.4)
+        states = {None: (0.7, 0.3, 0.25 * cmath.exp(0.6j)),
+                  basis.b1: (0.5, 0.1, 0.1 * cmath.exp(-1.1j)),
+                  basis.b2: (0.2, 0.2, 0.05j)}
+        monkeypatch.setattr(JointState, "path_state",
+                            lambda self, outcome=None: states[outcome])
+        js = JointState(standard_geom, make_detector_pair(0.5, 0.3))
+        grid = ScreenGrid(-5 * W_STANDARD, 5 * W_STANDARD, 2048)
+        xs, wts = grid.xs(), grid._weights
+        tau, d = effective_tau(standard_geom), standard_geom.slit_sep
+        g1, g2 = (evolved_amplitude(xs, center, standard_geom.packet_width, tau)
+                  for center in (+d / 2, -d / 2))
+
+        def expected(w1, w2, c=0.0):
+            return 2.0 * (w1 * abs(g1) ** 2 + w2 * abs(g2) ** 2
+                          + 2.0 * (c * np.conj(g1) * g2).real)
+
+        def assert_close(got, want):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+        direct = expected(*states[None])
+        assert_close(intensity_direct(xs, js), direct)
+        samples = pattern_on_grid(grid, js)
+        assert_close(samples.intensity, direct / (wts @ direct))
+        assert_close(samples.which_way(), expected(*states[None][:2]) / (wts @ direct))
+        er = conditional_patterns(grid, js, basis)
+        total = wts @ (expected(*states[basis.b1]) + expected(*states[basis.b2]))
+        for branch, b in ((er.i_b, basis.b1), (er.i_b_perp, basis.b2)):
+            assert_close(branch.intensity, expected(*states[b]) / total)
+            assert_close(branch.which_way(), expected(*states[b][:2]) / total)
 
 
 class TestFringeWidth:
