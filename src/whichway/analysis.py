@@ -7,26 +7,31 @@ cross term removed, which is what the screen shows when the detector states
 are orthogonal (as which-way experiments record it).  Their difference is
 the interference term itself, so no envelope is fitted.  A pattern that
 stays within 1e-9 of its peak from its reference is fringe-free (visibility
-0).  Otherwise one spectrum of the weighted difference over the whole grid
-locates the fringe wavenumber at its largest interior bin, refined by a
-3-point quadratic fit in k; the difference is demodulated there and divided
-by the reference's integral.  The demodulation sum is a block split that
-needs cos and sin at O(sqrt n) angles, not at every sample.  For a pure
+0).  Otherwise the spectrum of every other sample of the weighted
+difference, zero-padded to a power of two, locates the fringe wavenumber at
+its largest interior bin, refined by a 3-point quadratic fit in k; the
+difference is demodulated there over every sample and divided by the
+reference's integral.  Half the samples hold the lobe as long as there are
+at least 4 samples per fringe, and the power-of-two length spares an odd
+grid the slow FFT of its own length.  The demodulation sum is a block split
+that needs cos and sin at O(sqrt n) angles, not at every sample.  For a pure
 detector state of overlap s this reads s exp(-d^2 / 8 sigma_t^2) to about
 1e-10 of s in the far field and 1e-7 of s in the near field.
 
 The estimator's regime: the fringes must clear the spectrum's bin 1 (more
-than about one fringe period over the grid), and the grid must hold the
-envelope, to about 7 sigma_t either side.  A grid that cuts the envelope
-lets the cosine's counter-rotating half leak into the demodulated bin and
-biases the contrast, by about 1e-4 of s on default_grid's 5 fringe widths
-at a slit separation of 25 packet widths; those 5 fringe widths hold the
-envelope to 1e-9 only up to about 10 packet widths.  Packets that overlap at
-the slits (slit separation within 4 packet widths, which Geometry warns
-about) are read the same way.  ``oscillatory_residual`` fits a smooth
-envelope to the samples alone instead, with NumPy's polyfit (about 1.5 ms on
-8192 points on one Xeon core); it is a diagnostic, not on the estimator's
-path, and no subcommand calls it.
+than about one fringe period over the grid), the grid must have at least 4
+samples per fringe (pattern_on_grid and conditional_patterns refuse fewer
+than 8), and it must hold the envelope, to about 7 sigma_t either side.  A
+grid that cuts the envelope lets the cosine's counter-rotating half leak
+into the demodulated bin and biases the contrast, by about 1e-4 of s on
+default_grid's 5 fringe widths at a slit separation of 25 packet widths;
+those 5 fringe widths hold the envelope to 1e-9 only up to about 10 packet
+widths.  Packets that overlap at the slits (slit separation within 4 packet
+widths, which Geometry warns about) are read the same way.
+``oscillatory_residual`` fits a smooth envelope to the samples alone
+instead, with NumPy's polyfit (about 1.5 ms on 8192 points on one Xeon
+core); it is a diagnostic, not on the estimator's path, and no subcommand
+calls it.
 
 Extrema positions (plateau-aware scan plus 3-point parabolic refinement) are
 exposed separately for fringe-spacing measurements and eraser checks.
@@ -268,13 +273,18 @@ def numeric_visibility(pattern: PatternSamples) -> float:
     The reference I_ww is the intensity I with its cross term removed, so
     I - I_ww is the interference term itself and no envelope is fitted.  A
     pattern whose I - I_ww stays below FLATNESS_RTOL of its peak is
-    fringe-free and returns exactly 0, before any spectrum.  Otherwise
-    r = w (I - I_ww), w the trapezoid weights, has one rfft over the whole
-    grid; its largest interior bin, refined by a 3-point quadratic fit on
-    the log-magnitudes (exact for the Gaussian lobes produced here), gives
-    the fringe wavenumber k, and the contrast is
-    2 |sum r e^{-ikx}| / sum w I_ww, the modulus taken by _dft_modulus.  The
-    result is clamped into [0, 1].
+    fringe-free and returns exactly 0, before any spectrum.  Otherwise the
+    fringe lobe of r = w (I - I_ww), w the trapezoid weights, is found in the
+    rfft of r's even-indexed samples, zero-padded to the next power of two.
+    With at least 4 samples per fringe the lobe lies below that spectrum's
+    Nyquist bin, n/4 of the full spectrum's, and only the bins above n/4,
+    rounding residue for a resolved pattern, alias onto it.  The largest
+    interior bin, refined by a 3-point quadratic fit on the log-magnitudes
+    (exact for the Gaussian lobes produced here), gives the fringe
+    wavenumber k, and the contrast is 2 |sum r e^{-ikx}| / sum w I_ww over
+    every sample, the modulus taken by _dft_modulus.  Below 5 samples the
+    spectrum has no interior bin and the result is 0.  The result is
+    clamped into [0, 1].
     """
     peak = float(pattern.intensity.max())
     if peak <= 0.0:
@@ -287,12 +297,14 @@ def numeric_visibility(pattern: PatternSamples) -> float:
     if r.max() < tol and r.min() > -tol:  # every |r| below tol
         return 0.0
     r *= wts
-    spectrum = np.abs(np.fft.rfft(r))
+    half = r[::2]
+    n_fft = 1 << (len(half) - 1).bit_length()
+    spectrum = np.abs(np.fft.rfft(half, n_fft))
     if len(spectrum) < 3:  # no interior bin
         return 0.0
     j = 1 + int(spectrum[1:-1].argmax())
     # the lobe is symmetric, so the 3-point quadratic fit in log-magnitude
-    # is exact up to rounding; freq counts cycles over the n samples
+    # is exact up to rounding; freq counts cycles over n_fft samples 2h apart
     freq = float(j)
     trio = spectrum[j - 1 : j + 2]
     if trio.min() > 0.0:
@@ -300,7 +312,7 @@ def numeric_visibility(pattern: PatternSamples) -> float:
         denom = lm - 2.0 * l0 + lp
         if denom != 0.0:
             freq += 0.5 * (lm - lp) / denom
-    contrast = 2.0 * _dft_modulus(r, 2.0 * math.pi * freq / len(r)) / ref_total
+    contrast = 2.0 * _dft_modulus(r, math.pi * freq / n_fft) / ref_total
     return float(min(max(contrast, 0.0), 1.0))
 
 

@@ -15,7 +15,7 @@ weights their moduli and their cross term, through ``JointState.path_state``,
 so patterns for many detector states on one grid and geometry evolve them
 once and combine them per state.  The packets also keep their which-way sum
 w1 |g1|^2 + w2 |g2|^2 for the last path weights a direct pattern on a grid
-asked for: the direct pattern adds the cross term to a copy of it, and
+asked for: the direct pattern adds it to the cross term, and
 ``PatternSamples.which_way``, the which-way reference the visibility
 estimator reads the pattern against, is that sum doubled and normalized,
 with no second combine.  The packets' cross phase phi takes its cos and sin
@@ -313,15 +313,16 @@ def _evolve(xs: np.ndarray, geom: Geometry) -> BranchPackets:
     With q = 1/beta and u_j = (x - c_j)^2:
     |g_j|^2 = |A_t|^2 exp(-2 Re(q) u_j) and
     conj(g1) g2 = |A_t|^2 exp(-Re(q) (u1 + u2)) exp(i Im(q) (u1 - u2)).
-    The phase phi = Im(q) (u1 - u2) takes u1 - u2 as (c2 - c1) (2x - c1 - c2),
-    which does not cancel far from the slits.  Its cos and sin come from one
-    t = tan(phi/2), as (1 - t^2)/(1 + t^2) and 2t/(1 + t^2): NumPy runs float64
-    tan in a SIMD loop but cos and sin in scalar ones.  phi/2 is exact, the
-    0.5 being folded into the phase constant, and the form is within about
-    2e-16 of np.cos and np.sin, absolute.  Near the zeros of cos it is not
-    as accurate relative to the value, which is why the closed form keeps
-    np.cos.  The four arrays are filled one block at a time.  Raises
-    NumericFailure when beta underflows to 0.
+    The phase phi = Im(q) (u1 - u2) takes u1 - u2 = (c2 - c1) 2x (c1 + c2 is
+    exactly 0), a form that does not cancel far from the slits.  Its cos and
+    sin come from one t = tan(phi/2), as (1 - t^2)/(1 + t^2) and
+    2t/(1 + t^2): NumPy runs float64 tan in a SIMD loop but cos and sin in
+    scalar ones.  phi/2 is exact, the 0.5 being folded into the phase
+    constant, and the form is within about 2e-16 of np.cos and np.sin,
+    absolute.  Near the zeros of cos it is not as accurate relative to the
+    value, which is why the closed form keeps np.cos.  The four arrays are
+    filled one block at a time.  Raises NumericFailure when beta underflows
+    to 0.
     """
     prefactor, beta = evolution_constants(geom.packet_width, effective_tau(geom))
     if beta == 0:
@@ -332,7 +333,6 @@ def _evolve(xs: np.ndarray, geom: Geometry) -> BranchPackets:
 
     def block(xs):
         t = np.multiply(xs, 2.0)  # phi/2, then its tan
-        t -= c1 + c2
         t *= 0.5 * q.imag * (c2 - c1)
         np.tan(t, out=t)
         u1 = np.subtract(xs, c1)
@@ -368,18 +368,22 @@ def _combine(packets: BranchPackets, w1: float, w2: float, c: complex | None = N
              kept_sum: np.ndarray | None = None):
     """2 (P + 2 Re(c conj(g1) g2)) as a fresh array, where
     P = w1 |g1|^2 + w2 |g2|^2 is the packets' which-way sum; P itself when c
-    is None.  A kept_sum, which must be that P, is copied; otherwise P is
-    combined here and the cross term added to it in place."""
+    is None.  A kept_sum, which must be that P and comes with a c, is added
+    in place to the cross term's real part, which gives the bits of adding
+    that part to P, as addition commutes; otherwise P is combined here and
+    the cross term added to it in place."""
     def block(mod1, mod2, cross_re, cross_im, *kept):
         if kept:
-            out = kept[0].copy()
+            out = (2.0 * c.real) * cross_re
+            out += kept[0]
         else:
             out = w1 * mod1
             out += w2 * mod2
-        if c is not None:
+            if c is None:
+                return out
             out += (2.0 * c.real) * cross_re
-            out -= (2.0 * c.imag) * cross_im
-            out *= 2.0
+        out -= (2.0 * c.imag) * cross_im
+        out *= 2.0
         return out
 
     arrays = (packets.mod1, packets.mod2, packets.cross_re, packets.cross_im)

@@ -120,7 +120,9 @@ class TestNumericVisibility:
             assert numeric_visibility(pat) <= visibility_bound(make_detector_pair(float(s))) + 0.01
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("n_points", [2, 3])
+    # the lobe search's spectrum of every other sample has no interior bin
+    # below 5 points
+    @pytest.mark.parametrize("n_points", [2, 3, 4])
     def test_spectrum_without_an_interior_bin_reads_zero(self, standard_geom, joint_state,
                                                          n_points):
         pat = pattern_on_grid(ScreenGrid(-1e-9, 1e-9, n_points), joint_state(0.6, 0.3))
@@ -170,18 +172,30 @@ ORACLE_GEOMETRIES = {
 }
 
 
+def _assert_reads_the_oracle(geom, grid, tol):
+    for s in (1e-3, 0.3, 0.6, 0.9, 1.0):
+        expected = _oracle_visibility(geom, s)
+        for theta in np.linspace(-math.pi, math.pi, 13):
+            rep = duality_report(geom, make_detector_pair(s, float(theta)), grid)
+            assert abs(rep.V_numeric - expected) <= tol * s
+            assert rep.egy_ok
+
+
 class TestVisibilityOracle:
     @pytest.mark.parametrize("ratio, screen_dist", sorted(ORACLE_GEOMETRIES))
     def test_numeric_visibility_reads_the_oracle(self, ratio, screen_dist):
         geom = Geometry(5e-7, 1e-4, screen_dist, 1e-4 / ratio)
-        grid = default_grid(geom)
-        tol = ORACLE_GEOMETRIES[ratio, screen_dist]
-        for s in (1e-3, 0.3, 0.6, 0.9, 1.0):
-            expected = _oracle_visibility(geom, s)
-            for theta in np.linspace(-math.pi, math.pi, 13):
-                rep = duality_report(geom, make_detector_pair(s, float(theta)), grid)
-                assert abs(rep.V_numeric - expected) <= tol * s
-                assert rep.egy_ok
+        _assert_reads_the_oracle(geom, default_grid(geom), ORACLE_GEOMETRIES[ratio, screen_dist])
+
+    # odd counts put a sample at x = 0; the lobe search's spectrum is a power
+    # of two long whatever the count
+    @pytest.mark.parametrize("n_points", [4097, 8193, 16385])
+    @pytest.mark.parametrize("ratio, screen_dist", sorted(ORACLE_GEOMETRIES))
+    def test_odd_grids_read_the_oracle(self, ratio, screen_dist, n_points):
+        geom = Geometry(5e-7, 1e-4, screen_dist, 1e-4 / ratio)
+        half = 5.0 * fringe_width(geom)
+        grid = ScreenGrid(-half, half, n_points)
+        _assert_reads_the_oracle(geom, grid, ORACLE_GEOMETRIES[ratio, screen_dist])
 
     @pytest.mark.xfail(strict=True, reason="default_grid's 5 fringe widths cut the envelope "
                        "once slit_sep exceeds about 10 packet widths")

@@ -1,5 +1,6 @@
 """Screen patterns: direct vs closed-form routes, normalization, eraser conditioning."""
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -333,6 +334,28 @@ class TestNumericFailurePath:
         er = conditional_patterns(grid, js, rotated_basis(math.pi / 4))
         for branch in (er.i_b, er.i_b_perp):
             assert branch.intensity.min() >= 0.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", ["overflow", "nan"])
+    def test_which_way_reference_range_is_checked(self, standard_geom, joint_state, bad):
+        # the reference 2 P / norm_constant fails when its largest value
+        # passes the largest float though the smallest stays finite, and when
+        # P holds a NaN anywhere
+        grid = ScreenGrid(-0.025, 0.025, 8192)
+        samples = pattern_on_grid(grid, joint_state(0.6))
+        packets = grid._packets(standard_geom)
+        kept = packets.which_way_sum(*samples.path_weights)
+        if bad == "overflow":
+            samples = dataclasses.replace(samples, norm_constant=float(kept.max()) * 1e-308)
+            assert 2.0 * float(kept.min()) / samples.norm_constant < math.inf
+        else:
+            mod1 = packets.mod1.copy()
+            mod1[grid.n_points // 3] = math.nan
+            object.__setattr__(grid, "_kept_packets",
+                               (standard_geom, dataclasses.replace(packets, mod1=mod1)))
+        with pytest.raises(NumericFailure,
+                           match="^the which-way reference is outside the float range$"):
+            samples.which_way()
 
     def test_clamp_floor_scales_with_the_largest_raw_value(self):
         weights = np.full(4, 0.5)
