@@ -106,12 +106,22 @@ def distinguishability(pair: DetectorPair) -> float:
 
 
 def visibility_bound(pair: DetectorPair) -> float:
-    """Upper bound on fringe visibility: the overlap magnitude itself."""
+    """Upper bound on fringe visibility: the overlap magnitude itself.
+
+    It reads the pair only, so it assumes the equal path amplitudes of the
+    JointState that ``duality_report`` builds; on other path weights the
+    bound is 2|c| of ``JointState.path_state``.
+    """
     return pair.overlap_mag
 
 
 def local_visibility(x: float, geom: Geometry, pair: DetectorPair) -> float:
-    """Fringe contrast at screen position x: s / cosh(x d / 2 sigma_t^2)."""
+    """Fringe contrast at screen position x: s / cosh(x d / 2 sigma_t^2).
+
+    It reads the pair only, so it assumes the equal path amplitudes of the
+    JointState that ``duality_report`` builds; on a path state (w1, w2, c)
+    the contrast is 2|c| / (w1 e^{+x d/2 sigma_t^2} + w2 e^{-x d/2 sigma_t^2}).
+    """
     sig = spread_sigma(geom.packet_width, effective_tau(geom))
     return pair.overlap_mag / math.cosh(x * geom.slit_sep / (2.0 * sig * sig))
 

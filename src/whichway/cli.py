@@ -393,19 +393,21 @@ def main(argv=None) -> int:
 def _keep_freed_memory():
     """Fix glibc's trim and mmap thresholds for this process.
 
-    Every scan-duality value allocates and frees a few hundred KB of
-    grid-sized arrays: the pattern, the estimator's which-way reference and
-    the spectrum of their difference, and for a screen_dist or packet_width
-    sweep a new grid with its positions, weights and packets.  glibc's
-    default thresholds adapt to the allocation history, so whether that
-    memory is handed back to the OS and faulted in again on the next value
-    depends on heap layout.  On the benchmark's seed-7 700-value sweeps
-    (8192 points, x86-64 Linux, in process after the imports), each job took
-    370 to 413 minor faults with these thresholds.  Without them the overlap
-    and phase sweeps took about 400 and the screen_dist sweep about 67.5k,
-    which made it up to 0.3 s slower than its 0.5 to 0.6 s.  Fixed
-    thresholds keep the memory in the heap.  Other C libraries are left as
-    they are.
+    Every scan-duality value allocates and frees grid-sized arrays: the
+    pattern, the estimator's which-way reference and the spectrum of their
+    difference, and for a screen_dist or packet_width sweep a new grid with
+    its positions, weights and packets.  glibc's default thresholds adapt
+    to the allocation history, so whether that memory is handed back to the
+    OS and faulted in again on the next value depends on heap layout.
+    Fixed thresholds keep it in the heap.  Measured on x86-64 Linux with
+    the benchmark's inputs (medians of 5 alternating runs), the setting
+    pays on configured grids above _BLOCK points: a cold 700-value
+    screen_dist sweep on 20000 points took 5.4k minor faults and 1.19 s of
+    CPU time with it, against 104.5k and 1.80 s without.  On the default
+    8192-point grid the same cold sweep takes about 5.0k faults either way;
+    run in a process that had imported NumPy and the kernels first, it took
+    0.3k to 0.4k faults with the setting and 51k to 56k without.  Other C
+    libraries are left as they are.
     """
     if not sys.platform.startswith("linux"):
         return

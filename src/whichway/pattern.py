@@ -2,9 +2,9 @@
 
 Two independent routes compute the same physics: ``intensity_direct`` expands
 the squared norm of the superposed branch packets with the detector inner
-products, while ``intensity_closed_form`` evaluates the Gaussian-cosh/cosine
-closed form.  They must agree to ~1e-10 relative on any grid, which the test
-suite enforces; keep them independent.
+products, while ``intensity_closed_form`` evaluates the Gaussian closed form
+on the path qubit's state (w1, w2, c).  They must agree to ~1e-10 relative on
+any grid, which the test suite enforces; keep them independent.
 
 ``conditional_patterns`` projects the detector side onto a measurement basis
 before squaring, producing the eraser's conditioned fringe/antifringe pair.
@@ -118,8 +118,7 @@ class JointState:
 
     path_amps are the complex amplitudes multiplying the two branches
     (detector state d1 rides the packet centered at +slit_sep/2); they must
-    be normalized.  The default is the symmetric illumination the closed form
-    assumes.
+    be normalized.  The default is the symmetric illumination.
     """
 
     geom: Geometry
@@ -134,9 +133,6 @@ class JointState:
         if abs(norm - 1.0) > 1e-12:
             raise ValidationError(f"path amplitudes not normalized: {norm!r}")
         object.__setattr__(self, "path_amps", amps)
-
-    def has_equal_amps(self) -> bool:
-        return abs(self.path_amps[0] - self.path_amps[1]) <= 1e-12
 
     def path_state(self, outcome: DetectorState | None = None) -> tuple[float, float, complex]:
         """(w1, w2, c), the path qubit's state: what the screen sees of the
@@ -249,9 +245,8 @@ def default_grid(geom: Geometry, n_points: int = 8192) -> ScreenGrid:
 def _eval_checked(x, fn, count=1):
     """fn at a position or an array of them, through _blockwise: floats for
     a position, arrays for an array."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _blockwise(fn, (xs,), count)
-    if np.isscalar(x) or np.ndim(x) == 0:
+    out = _blockwise(fn, (np.atleast_1d(np.asarray(x, dtype=float)),), count)
+    if np.ndim(x) == 0:
         return float(out[0]) if count == 1 else tuple(float(o[0]) for o in out)
     return out
 
@@ -267,7 +262,7 @@ def _blockwise(fn, arrays, count):
     warning; normalization refuses them.
     """
     n = len(arrays[0])
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if n <= _BLOCK:
             return fn(*arrays)
         outs = tuple(np.empty(arrays[0].shape) for _ in range(count))
@@ -412,30 +407,64 @@ def intensity_direct(x, js: JointState):
 
 
 def intensity_closed_form(x, js: JointState):
-    """Screen intensity via the Gaussian-cosh/cosine closed form.
-
-    Only valid for equal path amplitudes (the symmetric state the closed form
-    is derived for); raises ValidationError otherwise.
-    """
-    _require_equal_amps(js)
-    return _eval_checked(x, lambda xs: np.add(*_closed_parts(xs, js)))
+    """Screen intensity via the closed form on the path state
+    ``js.path_state()``: the Gaussian hump sum plus the cosine cross term
+    (see ``_closed_parts``).  It reads no packet and no detector state."""
+    state = js.path_state()
+    return _eval_checked(x, lambda xs: np.add(*_closed_parts(xs, js.geom, state)))
 
 
 def closed_form_parts(x, js: JointState):
     """(envelope, interference) decomposition of the closed-form intensity.
 
-    The envelope is the smooth hump sum; the interference term carries the
-    overlap-weighted cosine.  envelope + interference == closed form.
+    The envelope is the which-way hump sum; the interference term carries
+    the cosine weighted by the path state's coherence.
+    envelope + interference == closed form.
     """
-    _require_equal_amps(js)
-    return _eval_checked(x, lambda xs: _closed_parts(xs, js), 2)
+    state = js.path_state()
+    return _eval_checked(x, lambda xs: _closed_parts(xs, js.geom, state), 2)
 
 
-def _closed_parts(xs: np.ndarray, js: JointState):
-    """The closed form's Gaussian-cosh hump sum and overlap-weighted cosine
-    cross term at positions xs, from its own spread sigma^2 and fringe
-    wavenumber kappa."""
-    geom = js.geom
+def _closed_parts(xs: np.ndarray, geom: Geometry, state: tuple[float, float, complex]):
+    """The closed form's envelope and interference term at positions xs for
+    the path state (w1, w2, c), from the free Gaussian alone.
+
+    A packet of width eps leaving the slit at c_j spreads, over the
+    evolution tau, into psi_j = N exp(-(x - c_j)^2 / (4 eps^2 + 2i tau)).
+    Splitting 1/(4 eps^2 + 2i tau) = 1/(4 sigma^2) - i kappa/(2d), with
+    sigma^2 = eps^2 + (tau/2eps)^2 and kappa = d tau / (4 eps^4 + tau^2),
+    psi_j = N exp(-(x - c_j)^2 / 4 sigma^2) exp(+i kappa (x - c_j)^2 / 2d),
+    with one N for both packets; |N|^2 = 1/sqrt(2 pi sigma^2) makes each
+    |psi_j|^2 integrate to 1.
+    The joint state a1 psi_1 |d1> + a2 psi_2 |d2> shows the screen
+    |a1 psi_1|^2 + |a2 psi_2|^2 + 2 Re(conj(a1) a2 <d1|d2> conj(psi_1) psi_2),
+    which is w1 |psi_1|^2 + w2 |psi_2|^2 + 2 Re(c conj(psi_1) psi_2) with
+    (w1, w2, c) the path state; a detector outcome conditions the same
+    expression through its own (w1, w2, c).  With c_1 = +d/2, c_2 = -d/2
+    and (x -+ d/2)^2 = x^2 + d^2/4 -+ x d:
+
+    - |psi_1,2|^2 = gauss e^{+-x d / 2 sigma^2}, where
+      gauss = exp(-(x^2 + d^2/4) / 2 sigma^2) / sqrt(2 pi sigma^2), and
+      |psi_1| |psi_2| = gauss;
+    - conj(psi_1) psi_2 has the phase
+      kappa ((x + d/2)^2 - (x - d/2)^2) / 2d = +kappa x, N's phase
+      cancelling; c multiplies this product, whose conjugated packet is
+      the one at +d/2, so arg c adds to kappa x.
+
+    So envelope = gauss (w1 e^{+x d/2 sigma^2} + w2 e^{-x d/2 sigma^2}) and
+    interference = 2 Re(c gauss e^{i kappa x}) = gauss 2|c| cos(kappa x + arg c).
+    Their sum is the direct route's raw pattern, whose packets carry
+    |A_t|^2 = |N|^2 / 2 and which doubles its sum.  For equal path
+    amplitudes and a pure detector pair, w1 = w2 = 1/2 and
+    c = <d1|d2>/2 = (s/2) e^{-i theta}, theta being arg<d2|d1>, so
+    envelope = gauss cosh(x d / 2 sigma^2) and
+    interference = gauss s cos(kappa x - theta).
+
+    e^{-x d/2 sigma^2} is taken as 1/e^{+x d/2 sigma^2}.  Where
+    e^{+x d/2 sigma^2} overflows or underflows, gauss underflows too, and
+    the envelope comes out inf or NaN, which normalization refuses.
+    """
+    w1, w2, c = state
     slit_sep, eps, tau = geom.slit_sep, geom.packet_width, effective_tau(geom)
     try:
         sig2 = eps * eps + (tau / (2.0 * eps)) ** 2
@@ -445,17 +474,22 @@ def _closed_parts(xs: np.ndarray, js: JointState):
         raise NumericFailure("the closed form's spread overflows for this geometry") from None
     except ZeroDivisionError:  # and so does a division by a float that underflows to 0
         raise NumericFailure("the closed form's spread underflows for this geometry") from None
-    gauss = pref * np.exp(-(xs * xs + 0.25 * slit_sep * slit_sep) / (2.0 * sig2))
-    envelope = gauss * np.cosh(xs * slit_sep / (2.0 * sig2))
-    interference = gauss * (js.pair.overlap_mag * np.cos(kap * xs - js.pair.overlap_phase))
+    gauss = np.multiply(xs, xs)
+    gauss += 0.25 * slit_sep * slit_sep
+    gauss *= -0.5 / sig2
+    np.exp(gauss, out=gauss)
+    gauss *= pref
+    grow = np.multiply(xs, 0.5 * slit_sep / sig2)  # e^{+x d / 2 sigma^2}
+    np.exp(grow, out=grow)
+    envelope = np.divide(w2, grow)
+    envelope += np.multiply(grow, w1, out=grow)
+    envelope *= gauss
+    interference = np.multiply(xs, kap)
+    interference += cmath.phase(c)
+    np.cos(interference, out=interference)
+    interference *= 2.0 * abs(c)
+    interference *= gauss
     return envelope, interference
-
-
-def _require_equal_amps(js: JointState):
-    if not js.has_equal_amps():
-        raise ValidationError(
-            "the closed form assumes equal path amplitudes; use intensity_direct"
-        )
 
 
 def _check_fringe_resolution(grid: ScreenGrid, geom: Geometry):
@@ -515,10 +549,7 @@ def pattern_on_grid(grid: ScreenGrid, js: JointState, mode: str = "direct") -> P
         raise ValidationError(f"mode must be 'direct' or 'closed_form', got {mode!r}")
     if js.pair.overlap_mag > 0.0:
         _check_fringe_resolution(grid, js.geom)
-    if mode == "direct":
-        raw = intensity_direct(grid, js)
-    else:
-        raw = intensity_closed_form(grid.xs(), js)
+    raw = intensity_direct(grid, js) if mode == "direct" else intensity_closed_form(grid.xs(), js)
     intensity, total = _clamp_and_normalize(grid._weights, [raw])
     return PatternSamples(grid, intensity, total, mode, js.geom, js.path_state()[:2])
 
@@ -534,12 +565,11 @@ def conditional_patterns(grid: ScreenGrid, js: JointState, basis: MeasurementBas
     packets = grid._packets(js.geom)
     states = [js.path_state(b) for b in (basis.b1, basis.b2)]  # given each outcome
     raws = [_combine(packets, *state) for state in states]
-    wts = grid._weights
-    i_b, i_p, total = _clamp_and_normalize(wts, raws)
+    i_b, i_p, total = _clamp_and_normalize(grid._weights, raws)
     return EraserResult(
         i_b=PatternSamples(grid, i_b, total, "conditional", js.geom, states[0][:2]),
         i_b_perp=PatternSamples(grid, i_p, total, "conditional", js.geom, states[1][:2]),
         i_sum=PatternSamples(grid, i_b + i_p, total, "conditional", js.geom,
                              js.path_state()[:2]),
-        branch_weights=(float(wts @ i_b), float(wts @ i_p)),
+        branch_weights=(float(grid._weights @ i_b), float(grid._weights @ i_p)),
     )

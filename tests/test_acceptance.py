@@ -231,7 +231,7 @@ def test_cli_contract(tmp_path):
     assert cli_main(["pattern", "--config", str(bad_cfg), "--out", str(bad_out)]) == 1
     assert not bad_out.exists()
 
-    # forced numeric failure: cosh overflow meets gaussian underflow, exit 2
+    # forced numeric failure: exponential overflow meets gaussian underflow, exit 2
     numfail_cfg = tmp_path / "numfail.json"
     numfail_cfg.write_text(json.dumps({
         "geometry": {"lambda_d": 1e-12, "slit_sep": 1e-2, "screen_dist": 1e-3,

@@ -2,10 +2,11 @@
 
 Its kept arrays are |g1|^2, |g2|^2 and conj(g1) g2 of the complex packets;
 their cross phase's cos and sin, taken from the tangent of the half phase,
-match np.cos and np.sin; the direct route agrees with the closed form and
-with the four-term complex expansion; the eraser branches add up to the
-direct pattern, and the path states of a basis's outcomes to the
-unconditioned one; the in-place clamp equals the old copying one bit for bit;
+match np.cos and np.sin; the direct route agrees with the closed form on
+any path weights and with the four-term complex expansion; the eraser
+branches add up to the direct pattern, each is the closed form on its
+outcome's path state, and the path states of a basis's outcomes add up to
+the unconditioned one; the in-place clamp equals the old copying one bit for bit;
 the direct pattern and its which-way reference, read from the which-way sum
 the packets keep, equal two full combines bit for bit, however one grid is
 reused; kernels evaluated in blocks equal one evaluation over all the
@@ -65,33 +66,48 @@ def _packets(xs, geom):
             evolved_amplitude(xs, -0.5 * geom.slit_sep, geom.packet_width, tau))
 
 
-def _assert_routes_agree(direct, js, xs):
+def _assert_routes_agree(direct, env, intf):
     """Pointwise agreement to 1e-10 of the local incoherent sum (the closed
     form's envelope), which stays meaningful at dark fringes; the 1e-300
     floor admits underflow far out on a grid made for another geometry."""
-    env, intf = closed_form_parts(xs, js)
     assert np.all(np.abs(direct - (env + intf)) <= 1e-10 * env + 1e-300)
 
 
+# the amplitudes cover every w1 in [0, 1] and, with the pairs, every
+# |c| <= sqrt(w1 w2)
 @settings(max_examples=60, deadline=None)
-@given(geometries, pairs)
-def test_direct_matches_closed_form_on_positions(geom, pair):
-    js = JointState(geom, pair)
+@given(geometries, pairs, unequal_amps)
+def test_direct_matches_closed_form_on_positions(geom, pair, amps):
+    js = JointState(geom, pair, amps)
     xs = default_grid(geom, POINTS).xs()
-    _assert_routes_agree(intensity_direct(xs, js), js, xs)
+    _assert_routes_agree(intensity_direct(xs, js), *closed_form_parts(xs, js))
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.tuples(geometries, pairs), min_size=2, max_size=4))
+@given(st.lists(st.tuples(geometries, pairs, unequal_amps), min_size=2, max_size=4))
 def test_direct_matches_closed_form_on_one_kept_grid(calls):
     # one grid serves every geometry, and the first comes back at the end,
     # so the grid swaps its kept packets at least twice
     grid = default_grid(calls[0][0], POINTS)
-    for geom, pair in calls + calls[:1]:
-        js = JointState(geom, pair)
+    for geom, pair, amps in calls + calls[:1]:
+        js = JointState(geom, pair, amps)
         kept = intensity_direct(grid, js)
         assert kept.tobytes() == intensity_direct(grid.xs(), js).tobytes()
-        _assert_routes_agree(kept, js, grid.xs())
+        _assert_routes_agree(kept, *closed_form_parts(grid.xs(), js))
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometries, pairs, unequal_amps, bases)
+def test_eraser_branches_are_the_closed_form_on_their_path_states(geom, pair, amps, basis):
+    # the eraser across the two routes: each branch, un-normalized, is the
+    # closed form on the path state conditioned on its outcome, so the
+    # branches' sum is the unconditioned closed form
+    js = JointState(geom, pair, amps)
+    grid = default_grid(geom, POINTS)
+    er = conditional_patterns(grid, js, basis)
+    for branch, outcome in ((er.i_b, basis.b1), (er.i_b_perp, basis.b2)):
+        parts = pattern._closed_parts(grid.xs(), geom, js.path_state(outcome))
+        _assert_routes_agree(branch.intensity * branch.norm_constant, *parts)
 
 
 @settings(max_examples=60, deadline=None)
@@ -294,10 +310,10 @@ def test_in_place_clamp_equals_copying_clamp(data):
         assert arr.tobytes() == want.tobytes()
 
 
-def _kernel_bytes(js, equal_js, basis, xs, n_points):
+def _kernel_bytes(js, basis, xs, n_points):
     """Every kernel's result at xs, and on a fresh n-point grid, as bytes."""
-    results = [intensity_direct(xs, js), intensity_closed_form(xs, equal_js),
-               *closed_form_parts(xs, equal_js)]
+    results = [intensity_direct(xs, js), intensity_closed_form(xs, js),
+               *closed_form_parts(xs, js)]
     if n_points >= 2:
         # resolves the fringes however few its points
         half = min(5.0, (n_points - 1) / 20.0) * fringe_width(js.geom)
@@ -308,8 +324,8 @@ def _kernel_bytes(js, equal_js, basis, xs, n_points):
     if len(xs) == 1:
         x = float(xs[0])
         results += [np.float64(intensity_direct(x, js)),
-                    np.float64(intensity_closed_form(x, equal_js)),
-                    np.array(closed_form_parts(x, equal_js))]
+                    np.float64(intensity_closed_form(x, js)),
+                    np.array(closed_form_parts(x, js))]
     return [r.tobytes() for r in results]
 
 
@@ -318,13 +334,13 @@ def _kernel_bytes(js, equal_js, basis, xs, n_points):
 @settings(max_examples=6, deadline=None)
 @given(geometries, pairs, unequal_amps, bases)
 def test_blocks_are_bit_identical_to_one_block(n_points, shuffled, geom, pair, amps, basis):
-    js, equal_js = JointState(geom, pair, amps), JointState(geom, pair)
+    js = JointState(geom, pair, amps)
     xs = default_grid(geom, max(n_points, 2)).xs()[:n_points]
     if shuffled:
         xs = np.random.default_rng(n_points).permutation(xs)
-    blocked = _kernel_bytes(js, equal_js, basis, xs, n_points)
+    blocked = _kernel_bytes(js, basis, xs, n_points)
     with mock.patch.object(pattern, "_BLOCK", n_points):
-        assert _kernel_bytes(js, equal_js, basis, xs, n_points) == blocked
+        assert _kernel_bytes(js, basis, xs, n_points) == blocked
 
 
 def _full_spectrum_visibility(samples):

@@ -38,8 +38,8 @@ OUT_OF_RANGE_GEOMETRIES = {
 # in-schema geometries and grids whose kernels leave the float range, each
 # with the sweep parameter and value that reach the same failure: the closed
 # form's kappa and the packets' beta divide by an underflowed 0 (T1), the
-# packet prefactor divides inf by inf (T2), and cosh overflows where the
-# gaussian underflows (T3)
+# packet prefactor divides inf by inf (T2), and the envelope's
+# e^{x d/2 sigma^2} overflows where the gaussian underflows (T3)
 FLOAT_RANGE_FAILURES = {
     "T1": ({"lambda_d": 1e-320, "slit_sep": 1e-12, "screen_dist": 1e-4, "packet_width": 1e-300},
            {"x_min": 1e-300, "x_max": 2.0, "n_points": 64}, "overlap", 0.0),
@@ -151,7 +151,7 @@ class TestPattern:
         assert capsys.readouterr().err.startswith("config error:")
 
     def test_numeric_failure_exit_code(self, tmp_path):
-        # cosh overflow against gaussian underflow -> NaN in the envelope column
+        # e^{x d/2 sigma^2} overflow against gaussian underflow -> NaN in the envelope
         cfg = write_config(
             tmp_path,
             geometry={"lambda_d": 1e-12, "slit_sep": 1e-2, "screen_dist": 1e-3,

@@ -106,6 +106,22 @@ sweep and 1.1e-16 on the screen_dist sweep (the same rows); s, D,
 V_bound, dP2, dQ2, rhs_unc and the egy_ok/unc_ok flags are identical.  The
 pattern, eraser, bohr, uncertainty and ``duality-overlap.*`` digests did
 not change.
+
+The two ``pattern.*`` digests were re-recorded when the closed form began
+to read the path state (w1, w2, c) in place of the detector pair's overlap
+magnitude s and phase theta: its envelope is
+gauss (w1 e^{+x d/2 sigma^2} + w2 e^{-x d/2 sigma^2}), with the second
+exponential taken as the reciprocal of the first, in place of
+gauss cosh(x d/2 sigma^2), and its interference term is
+gauss 2|c| cos(kappa x + arg c) in place of gauss s cos(kappa x - theta).
+Here 2|c| = 0.6000000000000002, against s = 0.6, and w1 = w2 =
+0.5000000000000001, the squares of the default amplitudes sqrt(1/2).  The
+arithmetic also moved in place and multiplies by 1/(2 sigma^2) instead of
+dividing by 2 sigma^2.  Old against new: intensity, envelope and
+interference_term differ by at most 5.7e-14, 4.3e-14 and 2.8e-14 absolute
+(3.6e-16, 4.3e-16 and 4.7e-16 of each column's peak; 5876, 5021 and 6703 of
+8192 rows); x_m is identical, and at s = 0.6 no zero changes its sign.  The
+eraser, bohr, uncertainty and ``duality-*.*`` digests did not change.
 """
 import hashlib
 import json
@@ -155,8 +171,8 @@ DIGESTS = {
     "duality-screen.json": "5aa0b231da950163cb47b49669f70a5a17f875ac09e76108816f06e860feca65",
     "eraser.csv": "eb888007533fe1824602858a601f9d78de3a3232e65f9b3eb66ce3be800f692f",
     "eraser.json": "ea2fede96ee8fb9e389c61b5d18188120799a2f1bac3266aba63b4784471081c",
-    "pattern.csv": "683d4189e4c258b854e8f1a164c1ef3f6668c7ef3d4b669ee095ebfdaa2a5003",
-    "pattern.json": "23e4bd2ae2be27205603ea8417a8b040797862abd09f64282c26b483928733ab",
+    "pattern.csv": "d90305591010a508942c135189289c8386f0dc782c869bb4cfec316ab82c65a1",
+    "pattern.json": "9d30ec636ead015794be37a20b85bfd387ed1f26f7c7a9aa70c68c9f5e23eff8",
     "uncertainty.csv": "d8a1909b7dfc6c41026c771aca39c04fa4beb35d73b583d1aade918303b24e2e",
     "uncertainty.json": "812fe7ced73e5f17ab9d7056e60b59b5ba653b243fb3bb15ed551c7423696fb9",
 }

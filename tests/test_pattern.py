@@ -49,8 +49,8 @@ class TestScreenGrid:
 
 class TestJointState:
     def test_default_amps_are_symmetric(self, joint_state):
-        js = joint_state(0.5)
-        assert js.has_equal_amps()
+        w1, w2, _ = joint_state(0.5).path_state()
+        assert w1 == w2 == pytest.approx(0.5, abs=1e-15)
 
     def test_rejects_unnormalized_amps(self, standard_geom):
         with pytest.raises(ValidationError):
@@ -59,7 +59,8 @@ class TestJointState:
     def test_path_state_is_the_seam_to_every_packet_pattern(self, standard_geom, monkeypatch):
         # mixed path states (w1 != w2, |c|^2 < w1 w2), none of which a pure
         # detector state gives, reach the direct pattern, its which-way
-        # reference and each eraser branch through path_state alone
+        # reference, each eraser branch and the closed form through
+        # path_state alone
         basis = rotated_basis(0.4)
         states = {None: (0.7, 0.3, 0.25 * cmath.exp(0.6j)),
                   basis.b1: (0.5, 0.1, 0.1 * cmath.exp(-1.1j)),
@@ -82,6 +83,10 @@ class TestJointState:
 
         direct = expected(*states[None])
         assert_close(intensity_direct(xs, js), direct)
+        assert_close(intensity_closed_form(xs, js), direct)
+        envelope, interference = closed_form_parts(xs, js)
+        assert_close(envelope, expected(*states[None][:2]))
+        assert_close(interference, direct - expected(*states[None][:2]))
         samples = pattern_on_grid(grid, js)
         assert_close(samples.intensity, direct / (wts @ direct))
         assert_close(samples.which_way(), expected(*states[None][:2]) / (wts @ direct))
@@ -161,12 +166,16 @@ class TestIntensityRoutes:
             mask = direct > 1e-300
             assert np.max(np.abs(direct[mask] - closed[mask]) / closed[mask]) < 1e-10
 
-    def test_closed_form_rejects_unequal_amps(self, standard_geom):
+    def test_closed_form_matches_direct_at_unequal_amps(self, standard_geom):
         js = JointState(standard_geom, make_detector_pair(0.5),
                         path_amps=(math.sqrt(0.8), math.sqrt(0.2)))
-        with pytest.raises(ValidationError):
-            intensity_closed_form(0.0, js)
-        intensity_direct(0.0, js)  # the direct route accepts them
+        assert intensity_closed_form(0.0, js) == pytest.approx(
+            intensity_direct(0.0, js), rel=1e-12
+        )
+        xs = default_grid(standard_geom).xs()
+        envelope, interference = closed_form_parts(xs, js)
+        assert np.max(np.abs(intensity_direct(xs, js) - (envelope + interference))
+                      / envelope) <= 1e-10
 
     def test_mirror_symmetry(self, joint_state):
         js = joint_state(0.7, 0.0)
@@ -314,8 +323,9 @@ class TestConditionalPatterns:
 class TestNumericFailurePath:
     @pytest.mark.filterwarnings("error")
     def test_overflowing_envelope_is_reported(self):
-        # pathological geometry: cosh overflows while the gaussian underflows,
-        # producing NaN in the closed form
+        # pathological geometry: the envelope's e^{x d/2 sigma^2} overflows
+        # on one side of the grid and underflows to 0 on the other, where
+        # the gaussian underflows, producing NaN in the closed form
         from whichway import Geometry
 
         geom = Geometry(1e-12, 1e-2, 1e-3, 1e-9)
