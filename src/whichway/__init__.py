@@ -34,6 +34,7 @@ _HOMES = {
     "ValidationError": "errors",
     "bloch_sphere_lattice": "qubit",
     "bohr_analysis": "recoil",
+    "closed_form_on_grid": "pattern",
     "closed_form_parts": "pattern",
     "conditional_patterns": "pattern",
     "default_grid": "pattern",

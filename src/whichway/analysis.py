@@ -362,7 +362,7 @@ def duality_report(geom: Geometry, pair: DetectorPair,
     if grid is None:
         grid = default_grid(geom)
     js = JointState(geom, pair)
-    samples = pattern_on_grid(grid, js, mode="direct")
+    samples = pattern_on_grid(grid, js)
     d_val = distinguishability(pair)
     v_bound = visibility_bound(pair)
     v_numeric = numeric_visibility(samples)

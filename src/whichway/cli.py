@@ -244,17 +244,14 @@ def _sized(what: str):
 # ---------------------------------------------------------------------------
 
 def _cmd_pattern(args) -> tuple[RunConfig, dict]:
-    from .pattern import JointState, closed_form_parts, pattern_on_grid
+    from .pattern import JointState, closed_form_on_grid
     from .qubit import make_detector_pair
 
     cfg = load_run_config(args.config)
     js = JointState(cfg.geometry, make_detector_pair(cfg.overlap, cfg.phase))
     grid = _grid(cfg, cfg.geometry)
     with _sized(f"a grid of {grid.n_points} points"):
-        samples = pattern_on_grid(grid, js, mode="closed_form")
-        envelope, interference = closed_form_parts(grid.xs(), js)
-        envelope /= samples.norm_constant
-        interference /= samples.norm_constant
+        samples, envelope, interference = closed_form_on_grid(grid, js)
     return cfg, {
         "x_m": grid.xs(),
         "intensity": samples.intensity,

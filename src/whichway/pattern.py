@@ -157,8 +157,7 @@ class PatternSamples:
     """Screen-intensity samples (probability density per meter).
 
     norm_constant is the raw trapezoid integral divided out during
-    normalization.  provenance records which route produced the samples;
-    "conditional" branches share their normalization with their partner so
+    normalization; the two branches of an eraser result share theirs, so
     that the pair sums to the unconditioned pattern.  geom and path_weights
     are the geometry and the weights of the packets' moduli |g1|^2 and
     |g2|^2 the samples were built from; ``which_way`` builds the pattern's
@@ -168,7 +167,6 @@ class PatternSamples:
     grid: ScreenGrid
     intensity: np.ndarray
     norm_constant: float
-    provenance: str
     geom: Geometry
     path_weights: tuple[float, float]
 
@@ -179,8 +177,9 @@ class PatternSamples:
         (a perfect which-way record): the same packets with the same path
         weights, with no interference, divided by this pattern's
         norm_constant.  It reads the which-way sum the direct route's
-        packets keep for these path weights, whatever the provenance, so
-        after a direct pattern on the same grid it combines nothing.
+        packets keep for these path weights, whichever route made the
+        pattern, so after a direct pattern on the same grid it combines
+        nothing.
         Raises NumericFailure when it leaves the float range.
         """
         kept = self.grid._packets(self.geom).which_way_sum(*self.path_weights)
@@ -537,21 +536,37 @@ def _clamp_and_normalize(weights: np.ndarray, branches):
     return (*branches, total)
 
 
-def pattern_on_grid(grid: ScreenGrid, js: JointState, mode: str = "direct") -> PatternSamples:
-    """Evaluate the screen pattern on a grid and normalize it to unit integral.
+def pattern_on_grid(grid: ScreenGrid, js: JointState) -> PatternSamples:
+    """Evaluate the screen pattern on a grid by the direct route and normalize
+    it to unit integral.
 
-    mode selects the computation route ("direct" or "closed_form").  Grids
-    too coarse to resolve the fringes are rejected whenever the detector
-    overlap is nonzero (aliased fringes silently corrupt visibility
+    Grids too coarse to resolve the fringes are rejected whenever the
+    detector overlap is nonzero (aliased fringes silently corrupt visibility
     estimates).
     """
-    if mode not in ("direct", "closed_form"):
-        raise ValidationError(f"mode must be 'direct' or 'closed_form', got {mode!r}")
     if js.pair.overlap_mag > 0.0:
         _check_fringe_resolution(grid, js.geom)
-    raw = intensity_direct(grid, js) if mode == "direct" else intensity_closed_form(grid.xs(), js)
-    intensity, total = _clamp_and_normalize(grid._weights, [raw])
-    return PatternSamples(grid, intensity, total, mode, js.geom, js.path_state()[:2])
+    intensity, total = _clamp_and_normalize(grid._weights, [intensity_direct(grid, js)])
+    return PatternSamples(grid, intensity, total, js.geom, js.path_state()[:2])
+
+
+def closed_form_on_grid(grid: ScreenGrid,
+                        js: JointState) -> tuple[PatternSamples, np.ndarray, np.ndarray]:
+    """(samples, envelope, interference): the closed form's pattern on a grid,
+    normalized to unit integral, and its two parts divided by the same
+    integral, from one evaluation of the closed form.
+
+    The grid is checked as ``pattern_on_grid`` checks it, before anything is
+    evaluated.
+    """
+    if js.pair.overlap_mag > 0.0:
+        _check_fringe_resolution(grid, js.geom)
+    envelope, interference = closed_form_parts(grid.xs(), js)
+    intensity, total = _clamp_and_normalize(grid._weights, [envelope + interference])
+    envelope /= total
+    interference /= total
+    samples = PatternSamples(grid, intensity, total, js.geom, js.path_state()[:2])
+    return samples, envelope, interference
 
 
 def conditional_patterns(grid: ScreenGrid, js: JointState, basis: MeasurementBasis) -> EraserResult:
@@ -567,9 +582,8 @@ def conditional_patterns(grid: ScreenGrid, js: JointState, basis: MeasurementBas
     raws = [_combine(packets, *state) for state in states]
     i_b, i_p, total = _clamp_and_normalize(grid._weights, raws)
     return EraserResult(
-        i_b=PatternSamples(grid, i_b, total, "conditional", js.geom, states[0][:2]),
-        i_b_perp=PatternSamples(grid, i_p, total, "conditional", js.geom, states[1][:2]),
-        i_sum=PatternSamples(grid, i_b + i_p, total, "conditional", js.geom,
-                             js.path_state()[:2]),
+        i_b=PatternSamples(grid, i_b, total, js.geom, states[0][:2]),
+        i_b_perp=PatternSamples(grid, i_p, total, js.geom, states[1][:2]),
+        i_sum=PatternSamples(grid, i_b + i_p, total, js.geom, js.path_state()[:2]),
         branch_weights=(float(grid._weights @ i_b), float(grid._weights @ i_p)),
     )

@@ -102,14 +102,12 @@ class DetectorPair:
 
     d2 is derived from d1: it carries d1's conjugate-swapped components,
     which covers every possible mutual overlap of two normalized states.
-    overlap_mag is |<d1|d2>| and overlap_phase is arg<d2|d1>; both are
-    checked against the states at construction.
+    overlap_mag is |<d1|d2>|, checked against the states at construction.
     """
 
     d1: DetectorState
     d2: DetectorState = field(init=False)
     overlap_mag: float
-    overlap_phase: float
 
     def __post_init__(self):
         d2 = DetectorState(self.d1.c2.conjugate(), self.d1.c1.conjugate())
@@ -119,13 +117,6 @@ class DetectorPair:
             raise ValidationError(
                 f"overlap_mag {self.overlap_mag!r} inconsistent with |<d1|d2>| = {abs(ip)!r}"
             )
-        if self.overlap_mag > 1e-9:
-            # phase of <d2|d1> = -phase of <d1|d2>; compare modulo 2*pi
-            delta = math.remainder(-cmath.phase(ip) - self.overlap_phase, math.tau)
-            if abs(delta) > 1e-9:
-                raise ValidationError(
-                    f"overlap_phase {self.overlap_phase!r} inconsistent with arg<d2|d1>"
-                )
 
 
 def make_detector_pair(s: float, theta: float = 0.0) -> DetectorPair:
@@ -150,7 +141,7 @@ def make_detector_pair(s: float, theta: float = 0.0) -> DetectorPair:
     mag2 = s / (2.0 * mag1) if root > 0.5 else math.sqrt((1.0 - root) / 2.0)
     phase = cmath.exp(0.5j * theta)
     d1 = DetectorState(mag1 * phase, mag2 * phase)
-    return DetectorPair(d1=d1, overlap_mag=s, overlap_phase=theta)
+    return DetectorPair(d1=d1, overlap_mag=s)
 
 
 @dataclass(frozen=True)

@@ -133,7 +133,7 @@ def test_eraser():
     grid = ScreenGrid(-5 * w, 5 * w, 8193)  # odd count puts x=0 on the grid
     js = JointState(geom, make_detector_pair(0.0))
     er = conditional_patterns(grid, js, mub_basis())
-    uncond = pattern_on_grid(grid, js, mode="direct")
+    uncond = pattern_on_grid(grid, js)
     combined = er.i_b.intensity + er.i_b_perp.intensity
     mask = uncond.intensity > 1e-300
     rel = np.max(np.abs(combined[mask] - uncond.intensity[mask]) / uncond.intensity[mask])

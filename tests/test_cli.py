@@ -78,8 +78,9 @@ class TestPattern:
         assert len(rows) == 8192  # the default grid
         data = np.array([[float(v) for v in row] for row in rows])
         xs, intensity = data[:, 0], data[:, 1]
-        # every row decomposes exactly
-        np.testing.assert_allclose(intensity, data[:, 2] + data[:, 3], atol=1e-18)
+        # every row decomposes to a few ulps of its envelope
+        envelope = data[:, 2]
+        assert np.all(np.abs(intensity - (envelope + data[:, 3])) <= 4 * 2.0**-52 * envelope)
         # s=1 minima spacing tracks the fringe width to 1%
         interior = (intensity[1:-1] < intensity[:-2]) & (intensity[1:-1] < intensity[2:])
         minima = xs[1:-1][interior]

@@ -1,8 +1,10 @@
 """Screen patterns: direct vs closed-form routes, normalization, eraser conditioning."""
 import cmath
 import dataclasses
+import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from whichway import (
     NumericFailure,
     ScreenGrid,
     ValidationError,
+    closed_form_on_grid,
     closed_form_parts,
     conditional_patterns,
     default_grid,
@@ -27,7 +30,7 @@ from whichway import (
     rotated_basis,
     extrema_positions,
 )
-from whichway import pattern
+from whichway import cli, pattern
 
 W_STANDARD = 0.005000031582734083  # 5e-3 + 16 pi^2 eps^4/(lam d L), hand-checked
 
@@ -220,24 +223,19 @@ class TestIntensityRoutes:
 
 class TestPatternOnGrid:
     def test_unit_integral_and_norm_constant(self, standard_geom, joint_state):
-        pat = pattern_on_grid(default_grid(standard_geom), joint_state(0.6), mode="direct")
+        pat = pattern_on_grid(default_grid(standard_geom), joint_state(0.6))
         xs = pat.grid.xs()
         assert np.trapezoid(pat.intensity, xs) == pytest.approx(1.0, abs=1e-9)
         assert math.isfinite(pat.norm_constant) and pat.norm_constant > 0
-        assert pat.provenance == "direct"
 
     def test_modes_agree_after_normalization(self, standard_geom, joint_state):
         grid = default_grid(standard_geom)
-        direct = pattern_on_grid(grid, joint_state(0.6), mode="direct")
-        closed = pattern_on_grid(grid, joint_state(0.6), mode="closed_form")
+        direct = pattern_on_grid(grid, joint_state(0.6))
+        closed = closed_form_on_grid(grid, joint_state(0.6))[0]
         mask = direct.intensity > 1e-300
         np.testing.assert_allclose(
             direct.intensity[mask], closed.intensity[mask], rtol=1e-10
         )
-
-    def test_rejects_unknown_mode(self, standard_geom, joint_state):
-        with pytest.raises(ValidationError):
-            pattern_on_grid(default_grid(standard_geom), joint_state(0.5), mode="magic")
 
     def test_coarse_grid_refused_when_fringes_present(self, standard_geom, joint_state):
         coarse = ScreenGrid(-0.025, 0.025, 64)  # spacing ~ w/6.3
@@ -264,12 +262,44 @@ class TestPatternOnGrid:
         np.testing.assert_allclose(gaps, W_STANDARD, rtol=1e-4)
 
 
+class TestClosedFormOnGrid:
+    @pytest.mark.parametrize("grid, calls", [
+        (None, 1),  # the default grid, one block
+        ({"x_min": -0.025, "x_max": 0.025, "n_points": 20000}, 3),  # three blocks
+    ])
+    def test_pattern_evaluates_the_closed_form_once(self, tmp_path, standard_geom, joint_state,
+                                                    grid, calls):
+        config = {"geometry": {"lambda_d": 5e-7, "slit_sep": 1e-4, "screen_dist": 1.0,
+                               "packet_width": 1e-5},
+                  "detector": {"overlap": 0.6, "phase": 0.3}}
+        if grid:
+            config["grid"] = grid
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = ["pattern", "--config", str(path), "--out", str(tmp_path / "out.csv")]
+        with mock.patch.object(pattern, "_closed_parts", wraps=pattern._closed_parts) as parts:
+            assert cli.main(argv) == 0
+        assert parts.call_count == calls
+        # the parts returned are the closed form's, divided by the pattern's
+        # normalization, bit for bit
+        screen = ScreenGrid(**grid) if grid else default_grid(standard_geom)
+        js = joint_state(0.6, 0.3)
+        samples, envelope, interference = closed_form_on_grid(screen, js)
+        for got, raw in zip((envelope, interference), closed_form_parts(screen.xs(), js)):
+            assert got.tobytes() == (raw / samples.norm_constant).tobytes()
+        # a grid too coarse for the fringes is refused before any evaluation
+        with mock.patch.object(pattern, "_closed_parts", wraps=pattern._closed_parts) as parts:
+            with pytest.raises(ValidationError):
+                closed_form_on_grid(ScreenGrid(-0.025, 0.025, 64), js)
+        assert parts.call_count == 0
+
+
 class TestConditionalPatterns:
     def test_completeness_against_unconditioned(self, standard_geom, joint_state):
         js = joint_state(0.0)
         grid = default_grid(standard_geom)
         er = conditional_patterns(grid, js, mub_basis())
-        uncond = pattern_on_grid(grid, js, mode="direct")
+        uncond = pattern_on_grid(grid, js)
         combined = er.i_b.intensity + er.i_b_perp.intensity
         mask = uncond.intensity > 1e-300
         np.testing.assert_allclose(
@@ -332,7 +362,7 @@ class TestNumericFailurePath:
         js = JointState(geom, make_detector_pair(0.0))
         grid = ScreenGrid(-0.02, 0.02, 256)
         with pytest.raises(NumericFailure):
-            pattern_on_grid(grid, js, mode="closed_form")
+            closed_form_on_grid(grid, js)
 
     @pytest.mark.parametrize("overlap", [0.0, 0.6])
     @pytest.mark.parametrize("n_points", [4097, 8193, 16385])
@@ -404,6 +434,7 @@ class TestBlockedKernelMemory:
 
     @pytest.mark.parametrize("kernel, bound", [
         ("direct", 1.5), ("closed_form", 1.5), ("closed_form_parts", 2.5), ("pattern_on_grid", 1.5),
+        ("closed_form_on_grid", 3.5),
     ])
     def test_peak_is_the_outputs_and_block_scratch(self, standard_geom, kernel, bound):
         js = JointState(standard_geom, make_detector_pair(0.6, 0.3))
@@ -414,5 +445,6 @@ class TestBlockedKernelMemory:
             "closed_form": lambda: intensity_closed_form(xs, js),
             "closed_form_parts": lambda: closed_form_parts(xs, js),
             "pattern_on_grid": lambda: pattern_on_grid(grid, js),
+            "closed_form_on_grid": lambda: closed_form_on_grid(grid, js),
         }[kernel]
         assert self._traced_peak(call) <= bound * xs.nbytes

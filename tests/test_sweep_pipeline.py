@@ -24,7 +24,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from whichway import (  # noqa: E402
-    Geometry, JointState, ScreenGrid, conditional_patterns, default_grid,
+    Geometry, JointState, ScreenGrid, closed_form_on_grid, conditional_patterns, default_grid,
     duality_report, fringe_width, make_detector_pair, pattern_on_grid, rotated_basis,
 )
 from whichway import pattern  # noqa: E402
@@ -132,7 +132,7 @@ def test_fringe_free_verdict_on_the_core_agrees_with_the_residual(name, phase):
     geom = FRINGE_FREE_GEOMETRIES[name]
     grid = default_grid(geom)
     js = JointState(geom, make_detector_pair(0.0, phase))
-    flat = [pattern_on_grid(grid, js, mode) for mode in ("direct", "closed_form")]
+    flat = [pattern_on_grid(grid, js), closed_form_on_grid(grid, js)[0]]
     flat.append(conditional_patterns(grid, js, rotated_basis(math.pi / 4)).i_sum)
     for samples in flat:
         assert numeric_visibility(samples) == 0.0
@@ -155,8 +155,8 @@ def test_one_spectrum_per_fringed_pattern_and_none_per_flat_one(name):
     grid = default_grid(geom)
     for phase in (-3.0, 0.3, 3.1):
         flat = JointState(geom, make_detector_pair(0.0, phase))
-        for mode in ("direct", "closed_form"):
-            assert _counted_visibility(pattern_on_grid(grid, flat, mode)) == (0.0, 0)
+        for samples in (pattern_on_grid(grid, flat), closed_form_on_grid(grid, flat)[0]):
+            assert _counted_visibility(samples) == (0.0, 0)
         for overlap in (1e-3, 0.3, 1.0):
             fringed = JointState(geom, make_detector_pair(overlap, phase))
             visibility, spectra = _counted_visibility(pattern_on_grid(grid, fringed))
