@@ -57,7 +57,7 @@ from .pattern import (
     default_grid,
     pattern_on_grid,
 )
-from .qubit import DetectorPair, PAULI_Z, inner_product, mub_basis, variance
+from .qubit import DetectorPair, PAULI_Z, mub_basis, variance
 
 #: Largest deviation from the which-way reference, relative to the peak, below
 #: which a pattern counts as fringe-free.
@@ -336,18 +336,13 @@ def eraser_branch_visibilities(er: EraserResult) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _eraser_observable_expectation(js: JointState) -> float:
-    """Mean of the +1/-1 eraser observable over the path-weighted detector states."""
-    basis = _ERASER_BASIS
-    w1, w2, _ = js.path_state()
-    p_plus = (
-        w1 * abs(inner_product(basis.b1, js.pair.d1)) ** 2
-        + w2 * abs(inner_product(basis.b1, js.pair.d2)) ** 2
-    )
-    p_minus = (
-        w1 * abs(inner_product(basis.b2, js.pair.d1)) ** 2
-        + w2 * abs(inner_product(basis.b2, js.pair.d2)) ** 2
-    )
-    return p_plus - p_minus
+    """Mean of the +1/-1 eraser observable, p(b1) - p(b2).
+
+    An outcome b's probability p(b) is w1 + w2 of ``js.path_state(b)``, the
+    path state conditioned on b, for the two states of _ERASER_BASIS.
+    """
+    (w1p, w2p, _), (w1m, w2m, _) = map(js.path_state, (_ERASER_BASIS.b1, _ERASER_BASIS.b2))
+    return (w1p + w2p) - (w1m + w2m)
 
 
 def duality_report(geom: Geometry, pair: DetectorPair,
@@ -355,9 +350,10 @@ def duality_report(geom: Geometry, pair: DetectorPair,
     """Assemble the distinguishability/visibility report for one configuration.
 
     V_numeric comes from the sampled pattern (direct route); dP2 is the
-    pointer-observable variance in a detector state, dQ2 the eraser
-    observable's variance in the path-weighted detector ensemble, so the
-    uncertainty-derived bound is D^2 + V^2 <= 2 - (dP2 + dQ2).
+    pointer-observable variance in a detector state, dQ2 = 1 - q^2 the eraser
+    observable's variance, q = p(b1) - p(b2) with each outcome's probability
+    read from ``JointState.path_state`` (see _eraser_observable_expectation),
+    so the uncertainty-derived bound is D^2 + V^2 <= 2 - (dP2 + dQ2).
     """
     if grid is None:
         grid = default_grid(geom)

@@ -193,12 +193,16 @@ class PatternSamples:
 
 @dataclass(frozen=True, eq=False)
 class EraserResult:
-    """Conditioned patterns for the two outcomes of a detector measurement."""
+    """Conditioned patterns for the two outcomes of a detector measurement.
+
+    i_b and i_b_perp share the normalization of their sum i_sum, the
+    unconditioned pattern; ``conditional_patterns`` says what each
+    integrates to.
+    """
 
     i_b: PatternSamples
     i_b_perp: PatternSamples
     i_sum: PatternSamples
-    branch_weights: tuple[float, float]
 
 
 def fringe_width(geom: Geometry) -> float:
@@ -574,7 +578,12 @@ def conditional_patterns(grid: ScreenGrid, js: JointState, basis: MeasurementBas
 
     The two branches share one normalization constant (the one that makes
     their sum integrate to 1), so i_b + i_b_perp reproduces the unconditioned
-    pattern pointwise and each branch integrates to its outcome weight.
+    pattern pointwise.  A branch with the path state (w1(b), w2(b), c(b))
+    given its outcome b integrates, over a grid that holds both packets, to
+    (w1(b) + w2(b) + 2 Re c(b) o) / (w1 + w2 + 2 Re c o), where (w1, w2, c)
+    is the unconditioned path state and o = exp(-d^2 / 8 eps^2) the packets'
+    overlap at the slits.  That is w1(b) + w2(b), the outcome weight the
+    eraser observable reads, only when the packets do not overlap there.
     """
     _check_fringe_resolution(grid, js.geom)
     packets = grid._packets(js.geom)
@@ -585,5 +594,4 @@ def conditional_patterns(grid: ScreenGrid, js: JointState, basis: MeasurementBas
         i_b=PatternSamples(grid, i_b, total, js.geom, states[0][:2]),
         i_b_perp=PatternSamples(grid, i_p, total, js.geom, states[1][:2]),
         i_sum=PatternSamples(grid, i_b + i_p, total, js.geom, js.path_state()[:2]),
-        branch_weights=(float(grid._weights @ i_b), float(grid._weights @ i_p)),
     )

@@ -192,9 +192,7 @@ def variance(state: DetectorState | DetectorStates, obs: DichotomicObservable):
     Always in [0, 1]; tiny negative rounding residue is clamped to 0.
     """
     e = obs.expectation(state)
-    if isinstance(state, DetectorStates):
-        return np.maximum(1.0 - e * e, 0.0)
-    return max(1.0 - e * e, 0.0)
+    return np.maximum(1.0 - e * e, 0.0)
 
 
 def sum_uncertainty(state: DetectorState | DetectorStates):

@@ -236,8 +236,9 @@ class TestEraserVisibilities:
         # symmetric eraser: branch weights 1/2 each, so the eraser-observable
         # variance is 1 and the unconditioned visibility bound 1 - dQ2 = 0
         js = joint_state(0.0)
-        er = conditional_patterns(default_grid(standard_geom), js, mub_basis())
-        w1, w2 = er.branch_weights
+        grid = default_grid(standard_geom)
+        er = conditional_patterns(grid, js, mub_basis())
+        w1, w2 = (grid._weights @ b.intensity for b in (er.i_b, er.i_b_perp))
         dq2 = 1.0 - (w1 - w2) ** 2
         assert dq2 == pytest.approx(1.0, abs=1e-9)
         uncond = pattern_on_grid(default_grid(standard_geom), js)

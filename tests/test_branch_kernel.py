@@ -133,7 +133,8 @@ def test_eraser_is_complete(geom, pair, amps, basis):
     direct = pattern_on_grid(grid, js).intensity
     assert np.max(np.abs(er.i_b.intensity + er.i_b_perp.intensity - direct)) \
         <= 1e-12 * np.max(direct)
-    assert sum(er.branch_weights) == pytest.approx(1.0, abs=1e-12)
+    weights = [grid._weights @ b.intensity for b in (er.i_b, er.i_b_perp)]
+    assert sum(weights) == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -318,9 +319,11 @@ def _kernel_bytes(js, basis, xs, n_points):
         # resolves the fringes however few its points
         half = min(5.0, (n_points - 1) / 20.0) * fringe_width(js.geom)
         results.append(intensity_direct(ScreenGrid(-half, half, n_points), js))
-        er = conditional_patterns(ScreenGrid(-half, half, n_points), js, basis)
+        grid = ScreenGrid(-half, half, n_points)
+        er = conditional_patterns(grid, js, basis)
         results += [er.i_b.intensity, er.i_b_perp.intensity, er.i_sum.intensity,
-                    np.array([*er.branch_weights, er.i_b.norm_constant])]
+                    np.array([grid._weights @ er.i_b.intensity,
+                              grid._weights @ er.i_b_perp.intensity, er.i_b.norm_constant])]
     if len(xs) == 1:
         x = float(xs[0])
         results += [np.float64(intensity_direct(x, js)),

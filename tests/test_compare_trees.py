@@ -1,6 +1,6 @@
 """tools/compare_trees.py: the tree compared with itself is identical, and a
-difference is reported with its first differing line and each numeric
-column's largest change."""
+difference is reported with its first differing line, each numeric
+column's largest change and each true/false column's flipped cells."""
 import importlib.util
 import sys
 from pathlib import Path
@@ -38,3 +38,27 @@ def test_a_difference_is_reported_by_line_and_column():
     assert compare_trees.describe(case, base, base) == []
     failed = compare_trees.Outcome(2, "numeric failure: x\n", b"")
     assert "  exit code: base 0, tree 2" in compare_trees.describe(case, base, failed)
+
+
+def test_a_flipped_flag_is_counted_per_config_and_in_the_summary(monkeypatch):
+    case = compare_trees.Case("scan-duality", ("scan-duality", "--config", "config.json"),
+                              {"sweep_param": "overlap"}, None)
+    base = compare_trees.Outcome(0, "", b"s,dQ2,egy_ok,unc_ok\n0.5,0.75,true,true\n"
+                                        b"1,1,true,true\n")
+    head = compare_trees.Outcome(0, "", b"s,dQ2,egy_ok,unc_ok\n0.5,0.75,true,false\n"
+                                        b"1,1,true,true\n")
+    lines = compare_trees.describe(case, base, head)
+    assert "  flipped unc_ok: 1 of 2" in lines
+    assert "  flipped egy_ok: 0 of 2" in lines
+    assert not any("flipped s:" in line or "flipped dQ2:" in line for line in lines)
+    # json bools read back as True/False
+    assert compare_trees.flag_flips(b'{"egy_ok": [true, true]}', b'{"egy_ok": [true, false]}') \
+        == {"egy_ok": (1, 2)}
+    # every config reads these two outputs: 5 configs flip one unc_ok cell each
+    monkeypatch.setattr(compare_trees, "run_case",
+                        lambda tree, case, workdir: base if tree == "base" else head)
+    report = []
+    assert compare_trees.compare("base", "head", 5, seed=0, report=report.append) == 5
+    assert "  flipped true/false cells over all configs: 5" in report
+    assert "  flipped unc_ok: 5 of the 10 cells in differing outputs" in report
+    assert "  flipped egy_ok: 0 of the 10 cells in differing outputs" in report

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 from whichway import (
+    DetectorState,
+    Geometry,
     JointState,
+    MeasurementBasis,
     NumericFailure,
     ScreenGrid,
     ValidationError,
@@ -18,6 +21,7 @@ from whichway import (
     closed_form_parts,
     conditional_patterns,
     default_grid,
+    duality_report,
     evolved_amplitude,
     effective_tau,
     fringe_width,
@@ -29,6 +33,7 @@ from whichway import (
     pattern_on_grid,
     rotated_basis,
     extrema_positions,
+    spread_sigma,
 )
 from whichway import cli, pattern
 
@@ -98,6 +103,24 @@ class TestJointState:
         for branch, b in ((er.i_b, basis.b1), (er.i_b_perp, basis.b2)):
             assert_close(branch.intensity, expected(*states[b]) / total)
             assert_close(branch.which_way(), expected(*states[b][:2]) / total)
+
+    def test_path_state_is_the_seam_to_the_eraser_observable(self, standard_geom, monkeypatch):
+        # the duality report's dQ2 = 1 - q^2 reads each outcome's probability
+        # p(b) = w1 + w2 of path_state(b), q = p(b1) - p(b2) over the
+        # eraser's basis; q^2 <= s^2 keeps rhs_unc = 1 - s^2 + q^2 below 1
+        basis = mub_basis()
+        states = {None: (0.7, 0.3, 0.2 * cmath.exp(0.6j)),
+                  basis.b1: (0.375, 0.25, 0.2j),
+                  basis.b2: (0.25, 0.125, 0.1)}
+        monkeypatch.setattr(JointState, "path_state",
+                            lambda self, outcome=None: states[outcome])
+        s = 0.5
+        q = sum(states[basis.b1][:2]) - sum(states[basis.b2][:2])
+        assert q * q <= s * s
+        grid = ScreenGrid(-5 * W_STANDARD, 5 * W_STANDARD, 2048)
+        rep = duality_report(standard_geom, make_detector_pair(s, 0.3), grid)
+        assert rep.dQ2 == 1.0 - q * q
+        assert rep.rhs_unc == pytest.approx(1.0 - s * s + q * q, abs=1e-15)
 
 
 class TestFringeWidth:
@@ -332,7 +355,36 @@ class TestConditionalPatterns:
         grid = default_grid(standard_geom)
         for s in (0.0, 0.3, 0.9):
             er = conditional_patterns(grid, joint_state(s), mub_basis())
-            assert sum(er.branch_weights) == pytest.approx(1.0, abs=1e-9)
+            weights = [grid._weights @ b.intensity for b in (er.i_b, er.i_b_perp)]
+            assert sum(weights) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("ratio", [5.0, 8.0, 12.5])
+    def test_branch_integrals_follow_the_path_states(self, ratio):
+        # a branch integrates to (w1(b) + w2(b) + 2 Re c(b) o) / (w1 + w2 + 2 Re c o),
+        # o = exp(-d^2 / 8 eps^2) the packets' overlap at the slits, on a grid
+        # that holds the envelope to 8 sigma_t either side
+        geom = Geometry(5e-7, 1e-4, 1.0, 1e-4 / ratio)
+        sigma_t = spread_sigma(geom.packet_width, effective_tau(geom))
+        half = max(5.0 * fringe_width(geom), 8.0 * sigma_t)
+        grid = ScreenGrid(-half, half, 8192)
+        o = math.exp(-ratio * ratio / 8.0)
+        rng = np.random.default_rng(int(10 * ratio))
+        for _ in range(40):
+            s, theta, chi, phi, polar, azimuth = rng.uniform(
+                [0.0, -math.pi, 0.0, -math.pi, 0.0, -math.pi],
+                [1.0, math.pi, math.pi / 2, math.pi, math.pi, math.pi])
+            amps = (math.cos(chi), math.sin(chi) * cmath.exp(1j * phi))
+            js = JointState(geom, make_detector_pair(s, theta), amps)
+            turn = cmath.exp(1j * azimuth)
+            basis = MeasurementBasis(
+                DetectorState(math.cos(polar / 2), math.sin(polar / 2) * turn),
+                DetectorState(math.sin(polar / 2), -math.cos(polar / 2) * turn))
+            er = conditional_patterns(grid, js, basis)
+            w1, w2, c = js.path_state()
+            for branch, b in ((er.i_b, basis.b1), (er.i_b_perp, basis.b2)):
+                w1b, w2b, cb = js.path_state(b)
+                want = (w1b + w2b + 2.0 * cb.real * o) / (w1 + w2 + 2.0 * c.real * o)
+                assert abs(grid._weights @ branch.intensity - want) <= 1e-14
 
     def test_unequal_amps_still_complete(self, standard_geom):
         amp1 = math.sqrt(0.7)

@@ -16,8 +16,10 @@ in a fresh working directory, so the argv is the same byte for byte.
 Exit codes, stderr (each tree's path replaced by ``<tree>``) and the output
 bytes (stdout, or the ``--out`` file) are compared.  Each config that
 differs is printed with its subcommand, its config, its first differing
-line and the largest |delta| of each numeric column (absolute, and relative
-to the base value).  A summary by subcommand follows.  The exit code is 0
+line, the largest |delta| of each numeric column (absolute, and relative
+to the base value) and the number of flipped cells of each true/false
+column, such as ``egy_ok``.  A summary by subcommand follows, with the
+largest deltas and the flipped cells over all configs.  The exit code is 0
 when every config is identical and 1 otherwise.
 """
 from __future__ import annotations
@@ -183,24 +185,43 @@ def _columns(text: str) -> dict[str, list[str]]:
     return {name: [row[i] for row in body if i < len(row)] for i, name in enumerate(header)}
 
 
+def _paired_columns(base: bytes, head: bytes):
+    """(name, base cells, head cells) of each column both outputs hold with
+    the same number of cells."""
+    old = _columns(base.decode("utf-8", "replace"))
+    new = _columns(head.decode("utf-8", "replace"))
+    for name, cells in old.items():
+        if name in new and len(new[name]) == len(cells):
+            yield name, cells, new[name]
+
+
 def column_deltas(base: bytes, head: bytes) -> dict[str, tuple[float, float]]:
     """For each column whose cells are all numbers in both outputs: the
     largest |head - base|, and the largest |head - base| / |base| over the
     cells where base is not 0."""
-    old = _columns(base.decode("utf-8", "replace"))
-    new = _columns(head.decode("utf-8", "replace"))
     deltas = {}
-    for name, cells in old.items():
-        if name not in new or len(new[name]) != len(cells):
-            continue
+    for name, cells, new_cells in _paired_columns(base, head):
         try:
-            pairs = [(float(a), float(b)) for a, b in zip(cells, new[name])]
+            pairs = [(float(a), float(b)) for a, b in zip(cells, new_cells)]
         except ValueError:
             continue
         diffs = [abs(b - a) for a, b in pairs]
         rel = [abs(b - a) / abs(a) for a, b in pairs if a != 0.0]
         deltas[name] = (max(diffs, default=0.0), max(rel, default=0.0))
     return deltas
+
+
+def _is_flag(cells: list[str]) -> bool:
+    # csv writes true/false, and a json bool reads back as True/False
+    return bool(cells) and all(cell.lower() in ("true", "false") for cell in cells)
+
+
+def flag_flips(base: bytes, head: bytes) -> dict[str, tuple[int, int]]:
+    """For each column whose cells are all true/false in both outputs: the
+    number of cells that flipped, and the number of cells."""
+    return {name: (sum(a.lower() != b.lower() for a, b in zip(cells, new_cells)), len(cells))
+            for name, cells, new_cells in _paired_columns(base, head)
+            if _is_flag(cells) and _is_flag(new_cells)}
 
 
 def first_difference(base: str, head: str) -> tuple[int, str, str] | None:
@@ -230,6 +251,8 @@ def describe(case: Case, base: Outcome, head: Outcome) -> list[str]:
         for name, (absolute, relative) in column_deltas(base.output, head.output).items():
             if absolute:
                 lines.append(f"  max |delta| {name}: {absolute:.3g} (relative {relative:.3g})")
+        for name, (flipped, cells) in flag_flips(base.output, head.output).items():
+            lines.append(f"  flipped {name}: {flipped} of {cells}")
     if lines:
         lines.insert(0, f"{case.command} {' '.join(case.argv[1:])}\n  config: "
                         f"{json.dumps(case.config)}")
@@ -243,6 +266,8 @@ def compare(base_tree: Path, head_tree: Path, n: int, seed: int, report=print) -
     differing: Counter = Counter()
     codes: Counter = Counter()
     worst: dict[str, tuple[float, float]] = {}
+    flips: Counter = Counter()
+    flag_cells: Counter = Counter()
     with tempfile.TemporaryDirectory(prefix="compare-trees-") as tmp:
         for i, case in enumerate(cases):
             base = run_case(base_tree, case, Path(tmp, "base", str(i)))
@@ -255,6 +280,9 @@ def compare(base_tree: Path, head_tree: Path, n: int, seed: int, report=print) -
                 for name, (absolute, relative) in column_deltas(base.output, head.output).items():
                     old = worst.get(name, (0.0, 0.0))
                     worst[name] = (max(old[0], absolute), max(old[1], relative))
+                for name, (flipped, cells) in flag_flips(base.output, head.output).items():
+                    flips[name] += flipped
+                    flag_cells[name] += cells
     total = Counter(case.command for case in cases)
     report(f"{n} configs (seed {seed}); exit codes "
            + ", ".join(f"{code}: {count}" for code, count in sorted(codes.items())))
@@ -265,6 +293,10 @@ def compare(base_tree: Path, head_tree: Path, n: int, seed: int, report=print) -
         if absolute:
             report(f"  max |delta| over all configs, {name}: {absolute:.3g} "
                    f"(relative {relative:.3g})")
+    report(f"  flipped true/false cells over all configs: {sum(flips.values())}")
+    for name in sorted(flag_cells):
+        report(f"  flipped {name}: {flips[name]} of the {flag_cells[name]} cells "
+               "in differing outputs")
     return sum(differing.values())
 
 
