@@ -42,11 +42,11 @@ The recoil report (``PLANCK_H``, ``BohrReport``, ``bohr_analysis``) lives in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
+from ._record import Record, init_field
 from .errors import ValidationError
 from .packets import Geometry, effective_tau, spread_sigma
 from .pattern import (
@@ -69,35 +69,40 @@ DUALITY_TOL = 1e-9
 #: The eraser observable's basis, built once for every duality report.
 _ERASER_BASIS = mub_basis()
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(Record):
     """Distinguishability/visibility figures plus both duality inequalities.
 
     The ok flags are derived from the numbers: egy_ok checks
     D^2 + V^2 = lhs <= 1, unc_ok the uncertainty-derived bound
     lhs <= rhs_unc, both within DUALITY_TOL.  The uncertainty-derived right
     side can never exceed 1 for a pure detector state (that is the sum
-    uncertainty at work); construction enforces it.
+    uncertainty at work); construction enforces it.  ``_fields`` orders
+    the scan-duality columns.
     """
 
-    D: float
-    V_bound: float
-    V_numeric: float
-    dP2: float
-    dQ2: float
-    lhs: float
-    rhs_unc: float
-    egy_ok: bool = field(init=False)
-    unc_ok: bool = field(init=False)
+    __slots__ = _fields = ("D", "V_bound", "V_numeric", "dP2", "dQ2", "lhs", "rhs_unc",
+                           "egy_ok", "unc_ok")
 
-    def __post_init__(self):
-        if self.rhs_unc > 1.0 + 1e-12:
+    def __init__(self, D: float, V_bound: float, V_numeric: float, dP2: float, dQ2: float,
+                 lhs: float, rhs_unc: float):
+        if rhs_unc > 1.0 + 1e-12:
             raise ValidationError(
-                f"rhs_unc = {self.rhs_unc!r} exceeds 1: variances inconsistent "
+                f"rhs_unc = {rhs_unc!r} exceeds 1: variances inconsistent "
                 "with a pure detector state"
             )
-        object.__setattr__(self, "egy_ok", bool(self.lhs <= 1.0 + DUALITY_TOL))
-        object.__setattr__(self, "unc_ok", bool(self.lhs <= self.rhs_unc + DUALITY_TOL))
+        egy_ok = bool(lhs <= 1.0 + DUALITY_TOL)
+        unc_ok = bool(lhs <= rhs_unc + DUALITY_TOL)
+        init_field(self, "D", D)
+        init_field(self, "V_bound", V_bound)
+        init_field(self, "V_numeric", V_numeric)
+        init_field(self, "dP2", dP2)
+        init_field(self, "dQ2", dQ2)
+        init_field(self, "lhs", lhs)
+        init_field(self, "rhs_unc", rhs_unc)
+        init_field(self, "egy_ok", egy_ok)
+        init_field(self, "unc_ok", unc_ok)
+        init_field(self, "_values",
+                   (D, V_bound, V_numeric, dP2, dQ2, lhs, rhs_unc, egy_ok, unc_ok))
 
 
 def distinguishability(pair: DetectorPair) -> float:

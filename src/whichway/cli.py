@@ -5,12 +5,11 @@ Output bytes are a deterministic function of the config (floats serialized
 with 17 significant digits; run chatter goes to stderr).
 
 Every job is a fresh process, so this module imports at load only the
-standard library, the config schema, ``Geometry`` and the recoil report.
-Each subcommand imports the modules it computes with when it runs: ``bohr``
-loads no NumPy, ``uncertainty-scan`` NumPy and ``qubit`` only, ``pattern``
-and ``eraser`` no ``analysis``, and ``scan-duality`` all of them.  The
-package's public names still read through this module (``cli.duality_report``
-is ``analysis.duality_report``), loaded on first access.
+standard library, the config schema, the record base, ``Geometry`` and the
+recoil report, and each subcommand imports the modules it computes with
+when it runs (``tests/test_import_floor.py`` pins which; no job imports
+``dataclasses``).  The package's public names still read through this
+module (``cli.duality_report`` is ``analysis.duality_report``).
 """
 from __future__ import annotations
 
@@ -20,10 +19,10 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from typing import TYPE_CHECKING
 
+from ._record import Record, init_field
 from ._schema import schema_error
 from .errors import NumericFailure, ValidationError
 from .packets import Geometry, grid_points
@@ -124,19 +123,20 @@ def _write_output(text: str, path: str | None):
 # config handling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """A checked run config.  grid holds the configured grid's x_min, x_max
     and n_points; the subcommands that compute on it build the ScreenGrid."""
 
-    geometry: Geometry
-    overlap: float
-    phase: float
-    grid: tuple[float, float, int] | None
-    eraser_enabled: bool
-    basis_angle: float
-    out_format: str | None
-    out_path: str | None
+    __slots__ = _fields = ("geometry", "overlap", "phase", "grid", "eraser_enabled",
+                           "basis_angle", "out_format", "out_path")
+
+    def __init__(self, geometry, overlap, phase, grid, eraser_enabled, basis_angle,
+                 out_format, out_path):
+        values = (geometry, overlap, phase, grid, eraser_enabled, basis_angle, out_format,
+                  out_path)
+        for name, value in zip(self._fields, values):
+            init_field(self, name, value)
+        init_field(self, "_values", values)
 
 
 def _int_in_float_range(text: str) -> int:
@@ -273,8 +273,8 @@ def _cmd_scan_duality(args) -> tuple[RunConfig, dict]:
         with _sized(f"a grid of {grid.n_points} points"):
             reports.append(duality_report(geometry, pair, grid))
     columns = {"s": [pair.overlap_mag for _, pair in runs]}
-    for field in fields(DualityReport):
-        columns[field.name] = [getattr(rep, field.name) for rep in reports]
+    for name in DualityReport._fields:
+        columns[name] = [getattr(rep, name) for rep in reports]
     return base, columns
 
 
@@ -313,7 +313,8 @@ def _cmd_uncertainty_scan(args) -> tuple[None, dict]:
 
 def _cmd_bohr(args) -> tuple[RunConfig, dict]:
     cfg = load_run_config(args.config)
-    return cfg, asdict(bohr_analysis(cfg.geometry))
+    report = bohr_analysis(cfg.geometry)
+    return cfg, {name: getattr(report, name) for name in report._fields}
 
 
 # ---------------------------------------------------------------------------

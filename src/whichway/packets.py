@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 
+from ._record import Record, init_field
 from .errors import ValidationError
 
 #: The most float64 values one NumPy array can hold: NumPy's intp is C's
@@ -34,8 +34,7 @@ def _require_positive(name: str, value: float) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class Geometry:
+class Geometry(Record):
     """Physical layout of the experiment (all lengths in meters).
 
     wavelength   -- de Broglie wavelength of the particle
@@ -44,19 +43,24 @@ class Geometry:
     packet_width -- Gaussian width of the packet emerging from each slit
     """
 
-    wavelength: float
-    slit_sep: float
-    screen_dist: float
-    packet_width: float
+    __slots__ = _fields = ("wavelength", "slit_sep", "screen_dist", "packet_width")
 
-    def __post_init__(self):
-        for name in ("wavelength", "slit_sep", "screen_dist", "packet_width"):
-            object.__setattr__(self, name, _require_positive(name, getattr(self, name)))
+    def __init__(self, wavelength: float, slit_sep: float, screen_dist: float,
+                 packet_width: float):
+        wavelength = _require_positive("wavelength", wavelength)
+        slit_sep = _require_positive("slit_sep", slit_sep)
+        screen_dist = _require_positive("screen_dist", screen_dist)
+        packet_width = _require_positive("packet_width", packet_width)
+        init_field(self, "wavelength", wavelength)
+        init_field(self, "slit_sep", slit_sep)
+        init_field(self, "screen_dist", screen_dist)
+        init_field(self, "packet_width", packet_width)
+        init_field(self, "_values", (wavelength, slit_sep, screen_dist, packet_width))
         if self.slit_sep <= 4.0 * self.packet_width:
             warnings.warn(
                 f"slit_sep = {self.slit_sep:g} m is within 4 packet widths "
                 f"({self.packet_width:g} m); the two packets overlap already at the slits",
-                stacklevel=3,  # past __post_init__ and the __init__ dataclass writes
+                stacklevel=2,  # the code that built the Geometry
             )
 
 

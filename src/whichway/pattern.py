@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
+from ._record import Record, init_field
 from .errors import NumericFailure, ValidationError
 from .packets import (
     SMALLEST_NORMAL,
@@ -56,8 +56,7 @@ _SQRT_HALF = math.sqrt(0.5)
 _BLOCK = 8192
 
 
-@dataclass(frozen=True)
-class ScreenGrid:
+class ScreenGrid(Record):
     """Uniform grid of screen positions (meters).
 
     The positions, their quadrature weights and the packets of the direct
@@ -67,12 +66,14 @@ class ScreenGrid:
     weights a direct pattern or a which-way reference asked for.
     """
 
-    x_min: float
-    x_max: float
-    n_points: int
+    _fields = ("x_min", "x_max", "n_points")  # no __slots__: what it keeps is in __dict__
 
-    def __post_init__(self):
-        object.__setattr__(self, "n_points", grid_points(self.x_min, self.x_max, self.n_points))
+    def __init__(self, x_min: float, x_max: float, n_points: int):
+        n_points = grid_points(x_min, x_max, n_points)
+        init_field(self, "x_min", x_min)
+        init_field(self, "x_max", x_max)
+        init_field(self, "n_points", n_points)
+        init_field(self, "_values", (x_min, x_max, n_points))
 
     def xs(self) -> np.ndarray:
         """The positions, read-only."""
@@ -112,8 +113,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class JointState:
+class JointState(Record):
     """Entangled particle-detector state evolved to the screen.
 
     path_amps are the complex amplitudes multiplying the two branches
@@ -121,18 +121,20 @@ class JointState:
     be normalized.  The default is the symmetric illumination.
     """
 
-    geom: Geometry
-    pair: DetectorPair
-    path_amps: tuple[complex, complex] = (_SQRT_HALF, _SQRT_HALF)
+    __slots__ = _fields = ("geom", "pair", "path_amps")
 
-    def __post_init__(self):
-        amps = tuple(complex(a) for a in self.path_amps)
+    def __init__(self, geom: Geometry, pair: DetectorPair,
+                 path_amps: tuple[complex, complex] = (_SQRT_HALF, _SQRT_HALF)):
+        amps = tuple(complex(a) for a in path_amps)
         if len(amps) != 2 or not all(cmath.isfinite(a) for a in amps):
             raise ValidationError("path_amps must be two finite complex numbers")
         norm = abs(amps[0]) ** 2 + abs(amps[1]) ** 2
         if abs(norm - 1.0) > 1e-12:
             raise ValidationError(f"path amplitudes not normalized: {norm!r}")
-        object.__setattr__(self, "path_amps", amps)
+        init_field(self, "geom", geom)
+        init_field(self, "pair", pair)
+        init_field(self, "path_amps", amps)
+        init_field(self, "_values", (geom, pair, amps))
 
     def path_state(self, outcome: DetectorState | None = None) -> tuple[float, float, complex]:
         """(w1, w2, c), the path qubit's state: what the screen sees of the
@@ -152,8 +154,7 @@ class JointState:
         return abs(k1) ** 2, abs(k2) ** 2, k1.conjugate() * k2
 
 
-@dataclass(frozen=True, eq=False)
-class PatternSamples:
+class PatternSamples(Record, eq=False):
     """Screen-intensity samples (probability density per meter).
 
     norm_constant is the raw trapezoid integral divided out during
@@ -164,11 +165,15 @@ class PatternSamples:
     which-way reference from them on request.
     """
 
-    grid: ScreenGrid
-    intensity: np.ndarray
-    norm_constant: float
-    geom: Geometry
-    path_weights: tuple[float, float]
+    __slots__ = _fields = ("grid", "intensity", "norm_constant", "geom", "path_weights")
+
+    def __init__(self, grid: ScreenGrid, intensity: np.ndarray, norm_constant: float,
+                 geom: Geometry, path_weights: tuple[float, float]):
+        init_field(self, "grid", grid)
+        init_field(self, "intensity", intensity)
+        init_field(self, "norm_constant", norm_constant)
+        init_field(self, "geom", geom)
+        init_field(self, "path_weights", path_weights)
 
     def which_way(self) -> np.ndarray:
         """The pattern with its cross term removed, as a fresh array.
@@ -191,8 +196,7 @@ class PatternSamples:
         return ref
 
 
-@dataclass(frozen=True, eq=False)
-class EraserResult:
+class EraserResult(Record, eq=False):
     """Conditioned patterns for the two outcomes of a detector measurement.
 
     i_b and i_b_perp share the normalization of their sum i_sum, the
@@ -200,9 +204,12 @@ class EraserResult:
     integrates to.
     """
 
-    i_b: PatternSamples
-    i_b_perp: PatternSamples
-    i_sum: PatternSamples
+    __slots__ = _fields = ("i_b", "i_b_perp", "i_sum")
+
+    def __init__(self, i_b: PatternSamples, i_b_perp: PatternSamples, i_sum: PatternSamples):
+        init_field(self, "i_b", i_b)
+        init_field(self, "i_b_perp", i_b_perp)
+        init_field(self, "i_sum", i_sum)
 
 
 def fringe_width(geom: Geometry) -> float:
@@ -276,8 +283,7 @@ def _blockwise(fn, arrays, count):
     return outs if count > 1 else outs[0]
 
 
-@dataclass(frozen=True, eq=False)
-class BranchPackets:
+class BranchPackets(Record, eq=False):
     """What the screen intensity needs of both evolved packets on one grid.
 
     mod1 = |g1|^2, mod2 = |g2|^2, and cross_re, cross_im the real and
@@ -286,10 +292,14 @@ class BranchPackets:
     read-only.
     """
 
-    mod1: np.ndarray
-    mod2: np.ndarray
-    cross_re: np.ndarray
-    cross_im: np.ndarray
+    _fields = ("mod1", "mod2", "cross_re", "cross_im")  # no __slots__: the kept sum is in __dict__
+
+    def __init__(self, mod1: np.ndarray, mod2: np.ndarray, cross_re: np.ndarray,
+                 cross_im: np.ndarray):
+        init_field(self, "mod1", mod1)
+        init_field(self, "mod2", mod2)
+        init_field(self, "cross_re", cross_re)
+        init_field(self, "cross_im", cross_im)
 
     def which_way_sum(self, w1: float, w2: float) -> np.ndarray:
         """w1 |g1|^2 + w2 |g2|^2, read-only.

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import Record, init_field
 from .errors import ValidationError
 
 #: Normalization / orthogonality tolerance used by every constructor.
@@ -33,8 +33,7 @@ def _as_complex(value) -> complex:
     return z
 
 
-@dataclass(frozen=True)
-class DetectorState:
+class DetectorState(Record):
     """Pure state of the which-way detector, components in the pointer basis.
 
     Invariant: |c1|^2 + |c2|^2 = 1 within NORM_TOL.  Construction rejects
@@ -42,21 +41,21 @@ class DetectorState:
     surface immediately.
     """
 
-    c1: complex
-    c2: complex
+    __slots__ = _fields = ("c1", "c2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "c1", _as_complex(self.c1))
-        object.__setattr__(self, "c2", _as_complex(self.c2))
-        norm = abs(self.c1) ** 2 + abs(self.c2) ** 2
+    def __init__(self, c1: complex, c2: complex):
+        c1, c2 = _as_complex(c1), _as_complex(c2)
+        norm = abs(c1) ** 2 + abs(c2) ** 2
         if abs(norm - 1.0) > NORM_TOL:
             raise ValidationError(
                 f"state not normalized: |c1|^2+|c2|^2 = {norm!r} (tolerance {NORM_TOL})"
             )
+        init_field(self, "c1", c1)
+        init_field(self, "c2", c2)
+        init_field(self, "_values", (c1, c2))
 
 
-@dataclass(frozen=True, eq=False)
-class DetectorStates:
+class DetectorStates(Record, eq=False):
     """Many pure detector states at once: entry i of the complex arrays c1
     and c2 holds the components of state i.
 
@@ -68,12 +67,11 @@ class DetectorStates:
     on every entry.
     """
 
-    c1: np.ndarray
-    c2: np.ndarray
+    __slots__ = _fields = ("c1", "c2")
 
-    def __post_init__(self):
-        c1 = np.asarray(self.c1, dtype=complex)
-        c2 = np.asarray(self.c2, dtype=complex)
+    def __init__(self, c1: np.ndarray, c2: np.ndarray):
+        c1 = np.asarray(c1, dtype=complex)
+        c2 = np.asarray(c2, dtype=complex)
         if c1.ndim != 1 or c1.shape != c2.shape:
             raise ValidationError(
                 f"c1 and c2 must be 1-d arrays of one length, got shapes {c1.shape}, {c2.shape}"
@@ -87,8 +85,8 @@ class DetectorStates:
                 f"state {bad[0]} not normalized: |c1|^2+|c2|^2 = {norm[bad[0]]!r} "
                 f"(tolerance {NORM_TOL})"
             )
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
+        init_field(self, "c1", c1)
+        init_field(self, "c2", c2)
 
 
 def inner_product(a: DetectorState, b: DetectorState) -> complex:
@@ -96,8 +94,7 @@ def inner_product(a: DetectorState, b: DetectorState) -> complex:
     return a.c1.conjugate() * b.c1 + a.c2.conjugate() * b.c2
 
 
-@dataclass(frozen=True)
-class DetectorPair:
+class DetectorPair(Record):
     """The two correlated detector states, one per slit.
 
     d2 is derived from d1: it carries d1's conjugate-swapped components,
@@ -105,18 +102,19 @@ class DetectorPair:
     overlap_mag is |<d1|d2>|, checked against the states at construction.
     """
 
-    d1: DetectorState
-    d2: DetectorState = field(init=False)
-    overlap_mag: float
+    __slots__ = _fields = ("d1", "d2", "overlap_mag")
 
-    def __post_init__(self):
-        d2 = DetectorState(self.d1.c2.conjugate(), self.d1.c1.conjugate())
-        object.__setattr__(self, "d2", d2)
-        ip = inner_product(self.d1, d2)
-        if abs(abs(ip) - self.overlap_mag) > NORM_TOL:
+    def __init__(self, d1: DetectorState, overlap_mag: float):
+        d2 = DetectorState(d1.c2.conjugate(), d1.c1.conjugate())
+        ip = inner_product(d1, d2)
+        if abs(abs(ip) - overlap_mag) > NORM_TOL:
             raise ValidationError(
-                f"overlap_mag {self.overlap_mag!r} inconsistent with |<d1|d2>| = {abs(ip)!r}"
+                f"overlap_mag {overlap_mag!r} inconsistent with |<d1|d2>| = {abs(ip)!r}"
             )
+        init_field(self, "d1", d1)
+        init_field(self, "d2", d2)
+        init_field(self, "overlap_mag", overlap_mag)
+        init_field(self, "_values", (d1, d2, overlap_mag))
 
 
 def make_detector_pair(s: float, theta: float = 0.0) -> DetectorPair:
@@ -144,24 +142,24 @@ def make_detector_pair(s: float, theta: float = 0.0) -> DetectorPair:
     return DetectorPair(d1=d1, overlap_mag=s)
 
 
-@dataclass(frozen=True)
-class DichotomicObservable:
+class DichotomicObservable(Record):
     """A +1/-1 observable on the detector qubit, W = n . sigma.
 
     Storing the unit Bloch vector n instead of a matrix makes W^2 = 1 and the
     eigenvalue pair +1/-1 true by construction.
     """
 
-    bloch: tuple[float, float, float]
+    __slots__ = _fields = ("bloch",)
 
-    def __post_init__(self):
-        n = tuple(float(v) for v in self.bloch)
+    def __init__(self, bloch: tuple[float, float, float]):
+        n = tuple(float(v) for v in bloch)
         if len(n) != 3 or not all(math.isfinite(v) for v in n):
-            raise ValidationError(f"bloch must be a finite 3-vector, got {self.bloch!r}")
+            raise ValidationError(f"bloch must be a finite 3-vector, got {bloch!r}")
         norm = math.sqrt(n[0] ** 2 + n[1] ** 2 + n[2] ** 2)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValidationError(f"bloch vector must be unit length, |n| = {norm!r}")
-        object.__setattr__(self, "bloch", n)
+        init_field(self, "bloch", n)
+        init_field(self, "_values", (n,))
 
     def expectation(self, state: DetectorState | DetectorStates):
         """<state| n.sigma |state>, per state for DetectorStates.
@@ -207,16 +205,17 @@ def sum_uncertainty(state: DetectorState | DetectorStates):
     return dq2, dp2, dq2 + dp2
 
 
-@dataclass(frozen=True)
-class MeasurementBasis:
+class MeasurementBasis(Record):
     """An orthonormal basis of the detector qubit (a dichotomic measurement)."""
 
-    b1: DetectorState
-    b2: DetectorState
+    __slots__ = _fields = ("b1", "b2")
 
-    def __post_init__(self):
-        if abs(inner_product(self.b1, self.b2)) > NORM_TOL:
+    def __init__(self, b1: DetectorState, b2: DetectorState):
+        if abs(inner_product(b1, b2)) > NORM_TOL:
             raise ValidationError("basis states must be orthogonal")
+        init_field(self, "b1", b1)
+        init_field(self, "b2", b2)
+        init_field(self, "_values", (b1, b2))
 
 
 def mub_basis() -> MeasurementBasis:

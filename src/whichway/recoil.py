@@ -11,8 +11,8 @@ Only ``math`` is needed: this module and ``packets`` import no NumPy, so the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from ._record import Record, init_field
 from .errors import NumericFailure, ValidationError
 from .packets import SMALLEST_NORMAL, Geometry
 
@@ -20,24 +20,24 @@ from .packets import SMALLEST_NORMAL, Geometry
 PLANCK_H = 6.62607015e-34
 
 
-@dataclass(frozen=True)
-class BohrReport:
+class BohrReport(Record):
     """Back-of-envelope recoil bookkeeping in SI units.
 
     The blur-to-pitch ratio delta_x / fringe_sep is derived, and is the
     geometry-free constant 1/4pi; construction rejects anything else.
     """
 
-    delta_px: float
-    delta_x: float
-    fringe_sep: float
-    ratio: float = field(init=False)
+    __slots__ = _fields = ("delta_px", "delta_x", "fringe_sep", "ratio")
 
-    def __post_init__(self):
-        ratio = self.delta_x / self.fringe_sep
+    def __init__(self, delta_px: float, delta_x: float, fringe_sep: float):
+        ratio = delta_x / fringe_sep
         if not abs(ratio - 0.25 / math.pi) <= 1e-12:  # NaN included
             raise ValidationError(f"ratio {ratio!r} is not the recoil constant 1/4pi")
-        object.__setattr__(self, "ratio", ratio)
+        init_field(self, "delta_px", delta_px)
+        init_field(self, "delta_x", delta_x)
+        init_field(self, "fringe_sep", fringe_sep)
+        init_field(self, "ratio", ratio)
+        init_field(self, "_values", (delta_px, delta_x, fringe_sep, ratio))
 
 
 def bohr_analysis(geom: Geometry) -> BohrReport:

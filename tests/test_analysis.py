@@ -1,6 +1,5 @@
 """Complementarity metrics: bounds, numeric visibility, duality and recoil reports."""
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -354,5 +353,5 @@ class TestReportInvariants:
         rep = DualityReport(D=0.0, V_bound=1.0, V_numeric=1.0, dP2=0.5, dQ2=1.5 - rhs_unc,
                             lhs=lhs, rhs_unc=rhs_unc)
         assert (rep.egy_ok, rep.unc_ok) == (egy_ok, unc_ok)
-        assert list(asdict(rep)) == ["D", "V_bound", "V_numeric", "dP2", "dQ2", "lhs",
+        assert list(rep._fields) == ["D", "V_bound", "V_numeric", "dP2", "dQ2", "lhs",
                                      "rhs_unc", "egy_ok", "unc_ok"]

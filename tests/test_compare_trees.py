@@ -1,9 +1,13 @@
 """tools/compare_trees.py: the tree compared with itself is identical, and a
 difference is reported with its first differing line, each numeric
-column's largest change and each true/false column's flipped cells."""
+column's largest change and each true/false column's flipped cells.  The
+--api cases compared with themselves are identical too, and a differing
+digest is reported by case and kind."""
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("compare_trees", ROOT / "tools" / "compare_trees.py")
@@ -62,3 +66,35 @@ def test_a_flipped_flag_is_counted_per_config_and_in_the_summary(monkeypatch):
     assert "  flipped true/false cells over all configs: 5" in report
     assert "  flipped unc_ok: 5 of the 10 cells in differing outputs" in report
     assert "  flipped egy_ok: 0 of the 10 cells in differing outputs" in report
+
+
+def test_the_api_cases_against_this_tree_are_identical():
+    lines = []
+    assert compare_trees.compare_api(ROOT, ROOT, 8, seed=0, report=lines.append) == 0
+    count = len(compare_trees._invalid_constructions())
+    assert lines[0] == f"8 seeded API cases (seed 0) and {count} invalid constructions"
+    assert "  pattern: 2 of 2 identical" in lines
+    assert f"  invalid: {count} of {count} identical" in lines
+
+
+def test_api_digests_are_seeded_and_cover_every_kind():
+    digests = compare_trees.api_digests(8, seed=1)
+    assert digests == compare_trees.api_digests(8, seed=1)
+    assert {kind for kind, _ in digests} == {*compare_trees.API_KINDS, "invalid"}
+    assert digests[:8] != compare_trees.api_digests(8, seed=2)[:8]
+    # every invalid construction raises
+    for construction in compare_trees._invalid_constructions():
+        with pytest.raises(Exception):
+            construction()
+
+
+def test_an_api_difference_is_reported_by_case_and_kind(monkeypatch):
+    cases = [("pattern", "a" * 64), ("positions", "b" * 64), ("invalid", "c" * 64)]
+    changed = [cases[0], ("positions", "d" * 64), cases[2]]
+    monkeypatch.setattr(compare_trees, "run_api",
+                        lambda tree, n, seed: cases if tree == "base" else changed)
+    report = []
+    assert compare_trees.compare_api("base", "head", 2, seed=0, report=report.append) == 1
+    assert report[0] == "[1] positions: base bbbbbbbbbbbbbbbb, tree dddddddddddddddd"
+    assert "  positions: 0 of 1 identical" in report
+    assert "  pattern: 1 of 1 identical" in report

@@ -5,7 +5,9 @@ CLI imports neither scipy nor jsonschema; ``import whichway``, ``import
 whichway.cli`` and ``bohr`` load no NumPy; ``uncertainty-scan`` loads no
 ``pattern`` or ``analysis``, and ``pattern`` and ``eraser`` no ``analysis``.
 ``scan-duality`` loads ``analysis`` but not ``numpy.polynomial``, which only
-the ``oscillatory_residual`` diagnostic uses.
+the ``oscillatory_residual`` diagnostic uses.  No entry point loads
+``dataclasses``, and those that load no NumPy load no ``inspect`` either
+(NumPy imports it itself).
 """
 import json
 import os
@@ -79,6 +81,18 @@ def test_bohr_loads_no_numpy(tmp_path):
     modules = subcommand_loads(tmp_path, "bohr")
     assert packages(modules, "numpy") == set()
     assert {"whichway.pattern", "whichway.analysis", "whichway.qubit"}.isdisjoint(modules)
+    assert "inspect" not in modules
+
+
+@pytest.mark.parametrize("statement", ["import whichway", "import whichway.cli"])
+def test_import_loads_no_dataclasses_or_inspect(statement):
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded(statement))
+
+
+@pytest.mark.parametrize("command",
+                         ["bohr", "uncertainty-scan", "pattern", "eraser", "scan-duality"])
+def test_subcommands_load_no_dataclasses(tmp_path, command):
+    assert "dataclasses" not in subcommand_loads(tmp_path, command)
 
 
 def test_uncertainty_scan_loads_neither_pattern_nor_analysis(tmp_path):

@@ -25,8 +25,7 @@ class TestGeometry:
             Geometry(0.0, 1e-4, 1.0, 1e-5)
 
     def test_warns_on_overlapping_packets(self):
-        # the warning names the code that built the Geometry, not the
-        # __init__ that dataclass writes
+        # the warning names the code that built the Geometry, not its __init__
         with pytest.warns(UserWarning) as record:
             Geometry(5e-7, 3e-5, 1.0, 1e-5)
         assert [w.filename for w in record] == [__file__]

@@ -1,6 +1,5 @@
 """Screen patterns: direct vs closed-form routes, normalization, eraser conditioning."""
 import cmath
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -15,6 +14,7 @@ from whichway import (
     JointState,
     MeasurementBasis,
     NumericFailure,
+    PatternSamples,
     ScreenGrid,
     ValidationError,
     closed_form_on_grid,
@@ -438,13 +438,15 @@ class TestNumericFailurePath:
         packets = grid._packets(standard_geom)
         kept = packets.which_way_sum(*samples.path_weights)
         if bad == "overflow":
-            samples = dataclasses.replace(samples, norm_constant=float(kept.max()) * 1e-308)
+            samples = PatternSamples(samples.grid, samples.intensity, float(kept.max()) * 1e-308,
+                                     samples.geom, samples.path_weights)
             assert 2.0 * float(kept.min()) / samples.norm_constant < math.inf
         else:
             mod1 = packets.mod1.copy()
             mod1[grid.n_points // 3] = math.nan
-            object.__setattr__(grid, "_kept_packets",
-                               (standard_geom, dataclasses.replace(packets, mod1=mod1)))
+            nan_packets = pattern.BranchPackets(mod1, packets.mod2, packets.cross_re,
+                                                packets.cross_im)
+            object.__setattr__(grid, "_kept_packets", (standard_geom, nan_packets))
         with pytest.raises(NumericFailure,
                            match="^the which-way reference is outside the float range$"):
             samples.which_way()

@@ -10,7 +10,6 @@ duality bound.  default_grid keeps the last grid it made, so duality
 reports for many detector states on one geometry evolve the packets
 once; an overlap or phase sweep also sums their moduli once, a screen_dist
 sweep once per value."""
-import dataclasses
 import json
 import math
 import warnings
@@ -24,8 +23,9 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from whichway import (  # noqa: E402
-    Geometry, JointState, ScreenGrid, closed_form_on_grid, conditional_patterns, default_grid,
-    duality_report, fringe_width, make_detector_pair, pattern_on_grid, rotated_basis,
+    Geometry, JointState, PatternSamples, ScreenGrid, closed_form_on_grid, conditional_patterns,
+    default_grid, duality_report, fringe_width, make_detector_pair, pattern_on_grid,
+    rotated_basis,
 )
 from whichway import pattern  # noqa: E402
 from whichway.analysis import (  # noqa: E402
@@ -54,7 +54,8 @@ def test_envelope_fit_holds_float_range_intensities(overlap):
                               JointState(geom, make_detector_pair(overlap, 0.3)))
     residual = oscillatory_residual(samples)
     for k in (-900, -200, 200, 996):
-        scaled = dataclasses.replace(samples, intensity=samples.intensity * 2.0**k)
+        scaled = PatternSamples(samples.grid, samples.intensity * 2.0**k, samples.norm_constant,
+                                samples.geom, samples.path_weights)
         assert oscillatory_residual(scaled) == residual
     assert float(scaled.intensity.max()) > 1e300
 
@@ -69,7 +70,8 @@ def test_envelope_fit_warns_below_five_fitted_samples(count):
                               JointState(geom, make_detector_pair(0.6, 0.3)))
     ys = np.full(64, 1e-13 * float(samples.intensity.max()))
     ys[20:20 + count] = samples.intensity[20:20 + count]
-    sparse = dataclasses.replace(samples, intensity=ys)
+    sparse = PatternSamples(samples.grid, ys, samples.norm_constant, samples.geom,
+                            samples.path_weights)
     if count < 5:
         with pytest.warns(np.exceptions.RankWarning):
             residual = oscillatory_residual(sparse)

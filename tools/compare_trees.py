@@ -1,6 +1,6 @@
-"""Compare this tree's CLI output with another commit's, config by config.
+"""Compare this tree's CLI output, or its API results, with another commit's.
 
-    python tools/compare_trees.py --base <rev> [--n 200]
+    python tools/compare_trees.py --base <rev> [--n 200] [--api]
 
 The base commit is checked out with ``git worktree add --detach`` into a
 temporary directory, which is removed afterwards.  ``--n`` seeded configs
@@ -21,11 +21,21 @@ to the base value) and the number of flipped cells of each true/false
 column, such as ``egy_ok``.  A summary by subcommand follows, with the
 largest deltas and the flipped cells over all configs.  The exit code is 0
 when every config is identical and 1 otherwise.
+
+``--api`` compares what the CLI cannot reach instead, calling the package
+in one process per tree: ``--n`` seeded cases (see ``API_KINDS``) on joint
+states with unequal path amplitudes, then every construction in
+``_invalid_constructions``.  Each case's results (array bytes, the repr of
+other values, and the type and message of an exception or warning) are
+hashed into one digest, and the digests of the two trees are compared case
+by case.
 """
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
+import hashlib
 import io
 import json
 import math
@@ -35,9 +45,12 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("scan-duality", "pattern", "eraser", "bohr", "uncertainty-scan")
@@ -300,17 +313,228 @@ def compare(base_tree: Path, head_tree: Path, n: int, seed: int, report=print) -
     return sum(differing.values())
 
 
+# ---------------------------------------------------------------------------
+# --api: seeded API cases, one digest each
+# ---------------------------------------------------------------------------
+
+def _api_geometry(rng: random.Random):
+    from whichway import Geometry
+
+    geo = _geometry(rng)
+    return Geometry(geo["lambda_d"], geo["slit_sep"], geo["screen_dist"], geo["packet_width"])
+
+
+def _api_joint_state(rng: random.Random):
+    """A JointState with unequal path amplitudes, which no subcommand builds."""
+    from whichway import JointState, make_detector_pair
+
+    geom = _api_geometry(rng)
+    pair = make_detector_pair(_overlap(rng), rng.uniform(-math.pi, math.pi))
+    t = rng.uniform(0.0, 0.5 * math.pi)
+    return JointState(geom, pair, (math.cos(t), math.sin(t) * cmath.exp(1j * rng.uniform(-4, 4))))
+
+
+def _api_grid(rng: random.Random, geom):
+    from whichway import ScreenGrid, default_grid, fringe_width
+
+    if rng.random() < 0.5:
+        return default_grid(geom)
+    half = rng.uniform(2.0, 8.0) * fringe_width(geom)
+    return ScreenGrid(-half, half, rng.choice(POINT_COUNTS))
+
+
+def _samples_parts(samples) -> list:
+    return [samples.intensity, samples.norm_constant, samples.path_weights]
+
+
+def _api_pattern(rng: random.Random) -> list:
+    """The path states, both routes' grid patterns, their which-way
+    references and visibilities, on unequal path amplitudes."""
+    from whichway import closed_form_on_grid, numeric_visibility, pattern_on_grid, rotated_basis
+
+    js = _api_joint_state(rng)
+    basis = rotated_basis(rng.uniform(0.0, math.pi))
+    parts = [repr(js), js.path_state(), js.path_state(basis.b1), js.path_state(basis.b2)]
+    grid = _api_grid(rng, js.geom)
+    direct = pattern_on_grid(grid, js)
+    parts += _samples_parts(direct) + [direct.which_way(), numeric_visibility(direct)]
+    closed, envelope, interference = closed_form_on_grid(grid, js)
+    return parts + _samples_parts(closed) + [envelope, interference, closed.which_way()]
+
+
+def _api_positions(rng: random.Random) -> list:
+    """Both intensity routes and the closed form's parts at positions, one
+    and many, past one kernel block too."""
+    from whichway import closed_form_parts, fringe_width, intensity_closed_form, intensity_direct
+
+    js = _api_joint_state(rng)
+    half = rng.uniform(1.0, 8.0) * fringe_width(js.geom)
+    xs = np.array([rng.uniform(-half, half) for _ in range(rng.choice((1, 7, 1000, 9000)))])
+    x = xs[0].item()
+    return [intensity_direct(xs, js), intensity_closed_form(xs, js), *closed_form_parts(xs, js),
+            intensity_direct(x, js), intensity_closed_form(x, js), closed_form_parts(x, js)]
+
+
+def _api_eraser(rng: random.Random) -> list:
+    """Both conditioned branches and their sum, their which-way references
+    and visibilities, on unequal path amplitudes."""
+    from whichway import (conditional_patterns, eraser_branch_visibilities, mub_basis,
+                          rotated_basis)
+
+    js = _api_joint_state(rng)
+    basis = mub_basis() if rng.random() < 0.3 else rotated_basis(rng.uniform(0.0, math.pi))
+    er = conditional_patterns(_api_grid(rng, js.geom), js, basis)
+    return [*_samples_parts(er.i_b), *_samples_parts(er.i_b_perp), *_samples_parts(er.i_sum),
+            er.i_b.which_way(), er.i_b_perp.which_way(), eraser_branch_visibilities(er)]
+
+
+def _api_observable(rng: random.Random) -> list:
+    """The eraser observable on unequal path weights (duality_report builds
+    only equal ones) and the detector state's variances."""
+    from whichway import sum_uncertainty
+    from whichway.analysis import _eraser_observable_expectation
+
+    js = _api_joint_state(rng)
+    return [_eraser_observable_expectation(js), *sum_uncertainty(js.pair.d1)]
+
+
+def _invalid_constructions() -> tuple:
+    """Constructions that each of the 14 records refuses: bad values, and
+    missing or unknown arguments."""
+    import whichway as w
+    from whichway.cli import RunConfig
+    from whichway.pattern import BranchPackets
+
+    geom = w.Geometry(5e-7, 1e-4, 1.0, 1e-5)
+    pair = w.make_detector_pair(0.6, 0.3)
+    nan = math.nan
+    return (
+        lambda: w.Geometry(-5e-7, 1e-4, 1.0, 1e-5),
+        lambda: w.Geometry(5e-7, 1e-4, nan, 1e-5),
+        lambda: w.Geometry(5e-7, 1e-4, 1.0, "wide"),
+        lambda: w.Geometry(5e-7, 1e-4, 1.0),
+        lambda: w.BohrReport(1.0, 1.0, 1.0),
+        lambda: w.BohrReport(1.0, 1.0, 0.0),
+        lambda: w.BohrReport(1.0, 1.0, 1.0, ratio=1.0),
+        lambda: RunConfig(geom, 0.6, 0.3, None, False, 0.7, None),
+        lambda: w.DetectorState(1.0, 1.0),
+        lambda: w.DetectorState(complex(nan, 0.0), 0.0),
+        lambda: w.DetectorState(c1=1.0),
+        lambda: w.DetectorStates(np.ones(2), np.zeros(3)),
+        lambda: w.DetectorStates(np.ones((2, 1)), np.zeros((2, 1))),
+        lambda: w.DetectorStates(np.array([1.0, nan]), np.zeros(2)),
+        lambda: w.DetectorStates(np.array([1.0, 0.9]), np.zeros(2)),
+        lambda: w.DetectorPair(pair.d1, 0.5),
+        lambda: w.DetectorPair(pair.d1, 0.6, d2=pair.d1),
+        lambda: w.DichotomicObservable((1.0, 1.0, 0.0)),
+        lambda: w.DichotomicObservable((1.0, 0.0)),
+        lambda: w.DichotomicObservable((nan, 0.0, 0.0)),
+        lambda: w.MeasurementBasis(pair.d1, pair.d1),
+        lambda: w.ScreenGrid(0.01, -0.01, 128),
+        lambda: w.ScreenGrid(-0.01, 0.01, 1),
+        lambda: w.ScreenGrid(-0.01, math.inf, 128),
+        lambda: w.ScreenGrid(0.0, 1e-320, 64),
+        lambda: w.JointState(geom, pair, (1.0, 1.0)),
+        lambda: w.JointState(geom, pair, (1.0,)),
+        lambda: w.JointState(geom, pair, (nan, 0.0)),
+        lambda: w.DualityReport(D=1.0, V_bound=0.0, V_numeric=0.0, dP2=0.0, dQ2=0.0,
+                                lhs=1.0, rhs_unc=2.0),
+        lambda: w.DualityReport(1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, egy_ok=True),
+        lambda: w.PatternSamples(None, None, 1.0, geom),
+        lambda: w.EraserResult(None, None),
+        lambda: BranchPackets(None, None, None, None, None),
+    )
+
+
+#: Each kind of seeded API case, drawn in turn.
+API_KINDS = {"pattern": _api_pattern, "positions": _api_positions, "eraser": _api_eraser,
+             "observable": _api_observable}
+
+
+def _digest(parts: list) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, (np.ndarray, np.generic)):
+            h.update(f"{part.dtype}{part.shape}".encode())
+            h.update(part.tobytes())
+        else:
+            h.update(repr(part).encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def _outcome_digest(case) -> str:
+    """The digest of what case() returns, or of the exception it raises,
+    with the warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            parts = case()
+        except Exception as exc:
+            parts = [f"{type(exc).__name__}: {exc}"]
+    parts += [f"{w.category.__name__} in {Path(w.filename).name}: {w.message}" for w in caught]
+    return _digest(parts)
+
+
+def api_digests(n: int, seed: int) -> list[tuple[str, str]]:
+    """(kind, digest) of n seeded API cases, then of each invalid
+    construction, run against the whichway that ``import whichway`` finds.
+    Case i draws from its own seed, so a case that fails early does not
+    shift the draws of the next."""
+    digests = []
+    for i in range(n):
+        kind = list(API_KINDS)[i % len(API_KINDS)]
+        rng = random.Random(seed * 1_000_003 + i)
+        digests.append((kind, _outcome_digest(lambda: API_KINDS[kind](rng))))
+    for construction in _invalid_constructions():
+        digests.append(("invalid", _outcome_digest(lambda: ["no error", repr(construction())])))
+    return digests
+
+
+def run_api(tree: Path, n: int, seed: int) -> list[tuple[str, str]]:
+    """api_digests(n, seed) in a fresh process of the whichway under tree/src."""
+    code = (f"import json, sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+            f"import compare_trees; print(json.dumps(compare_trees.api_digests({n}, {seed})))")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1",
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory(prefix="compare-api-") as cwd:
+        proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=600)
+    if proc.returncode != 0:
+        raise RuntimeError(f"API cases failed in {tree}:\n{proc.stderr}")
+    return [tuple(case) for case in json.loads(proc.stdout.splitlines()[-1])]
+
+
+def compare_api(base_tree: Path, head_tree: Path, n: int, seed: int, report=print) -> int:
+    """Run n seeded API cases in both trees and report each case whose
+    digest differs and a summary by kind; returns the number that differ."""
+    base, head = run_api(base_tree, n, seed), run_api(head_tree, n, seed)
+    differing: Counter = Counter()
+    for i, ((kind, old), (_, new)) in enumerate(zip(base, head)):
+        if old != new:
+            differing[kind] += 1
+            report(f"[{i}] {kind}: base {old[:16]}, tree {new[:16]}")
+    total = Counter(kind for kind, _ in base)
+    report(f"{n} seeded API cases (seed {seed}) and {total['invalid']} invalid constructions")
+    for kind in [*API_KINDS, "invalid"]:
+        report(f"  {kind}: {total[kind] - differing[kind]} of {total[kind]} identical")
+    return sum(differing.values())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the commit to compare against")
-    parser.add_argument("--n", type=int, default=200, help="number of configs (default 200)")
+    parser.add_argument("--n", type=int, default=200,
+                        help="number of configs or API cases (default 200)")
+    parser.add_argument("--api", action="store_true",
+                        help="compare seeded API cases instead of CLI runs")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="compare-base-") as tmp:
         checkout = Path(tmp, "base")
         subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
                         str(checkout), args.base], check=True)
         try:
-            differing = compare(checkout, ROOT, args.n, 0)
+            differing = (compare_api if args.api else compare)(checkout, ROOT, args.n, 0)
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
                             str(checkout)], check=False)
