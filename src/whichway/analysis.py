@@ -1,10 +1,13 @@
 """Quantitative complementarity: distinguishability, visibility, duality reports.
 
-The numeric visibility estimator works from pattern samples and never sees
-the geometry, so it stays an independent check on the analytic bounds.  It
-reads a pattern against its which-way reference: the same pattern with its
-cross term removed, which is what the screen shows when the detector states
-are orthogonal (as which-way experiments record it).  Their difference is
+The numeric visibility estimator takes pattern samples and no geometry
+argument, but it reads the geometry the samples keep: its which-way
+reference, ``PatternSamples.which_way()``, comes from the direct route's
+packets for the samples' ``geom`` and ``path_weights``, whichever route
+made the samples.  It reads a pattern against its which-way reference: the
+same pattern with its cross term removed, which is what the screen shows
+when the detector states are orthogonal (as which-way experiments record
+it).  Their difference is
 the interference term itself, so no envelope is fitted.  A pattern that
 stays within 1e-9 of its peak from its reference is fringe-free (visibility
 0).  Otherwise the spectrum of every other sample of the weighted

@@ -24,6 +24,15 @@ computes several times faster than cos and sin.  The closed form keeps
 ``np.cos``: it stays an oracle derived apart from the packets, and its
 interference term keeps cos's relative accuracy at the zeros of the cosine,
 which the half-angle form does not have.
+
+Each kernel call computes its constants once and runs through
+``_blockwise``: one ``np.errstate``, the outputs and one block-sized scratch
+allocated up front, and every block of ``_BLOCK`` points written straight
+into the output slices with ``out=``, the scratch reused from block to
+block.  On positions the direct route evolves each block's packets into the
+scratch and combines them from there; an eraser combines both of its
+branches in one pass over the kept packets.  Every step is elementwise, so
+the values are those of one evaluation over all the points, bit for bit.
 """
 from __future__ import annotations
 
@@ -51,8 +60,8 @@ from .qubit import DetectorPair, DetectorState, MeasurementBasis, inner_product
 CLAMP_FLOOR = -1e-15
 
 _SQRT_HALF = math.sqrt(0.5)
-#: Points per block of the elementwise kernels: a block's scratch arrays stay
-#: in cache, so no kernel call makes a grid-sized temporary.
+#: Points per block of the elementwise kernels: a call's one block-sized
+#: scratch stays in cache, so no kernel call makes a grid-sized temporary.
 _BLOCK = 8192
 
 
@@ -252,35 +261,43 @@ def default_grid(geom: Geometry, n_points: int = 8192) -> ScreenGrid:
     return ScreenGrid(-half_span, half_span, n_points)
 
 
-def _eval_checked(x, fn, count=1):
-    """fn at a position or an array of them, through _blockwise: floats for
+def _eval_checked(x, fn, count, scratch):
+    """fn through _blockwise at a position or an array of them: floats for
     a position, arrays for an array."""
-    out = _blockwise(fn, (np.atleast_1d(np.asarray(x, dtype=float)),), count)
+    outs = _blockwise(fn, (np.atleast_1d(np.asarray(x, dtype=float)),), count, scratch)
     if np.ndim(x) == 0:
-        return float(out[0]) if count == 1 else tuple(float(o[0]) for o in out)
-    return out
+        return float(outs[0][0]) if count == 1 else tuple(float(o[0]) for o in outs)
+    return outs[0] if count == 1 else tuple(outs)
 
 
-def _blockwise(fn, arrays, count):
-    """fn(*arrays), evaluated _BLOCK points at a time into count fresh arrays.
+def _blockwise(fn, arrays, count, scratch):
+    """count fresh arrays shaped like arrays[0], which fn fills _BLOCK points
+    at a time.
 
-    fn maps equally long arrays elementwise to one array (count 1) or to a
-    tuple of count arrays, so every value equals that of one call on all the
-    points.  Up to _BLOCK points it is that one call; beyond, the call holds
-    its outputs and one block's scratch, not grid-sized temporaries.
-    Values that leave the float range come out non-finite without a
-    warning; normalization refuses them.
+    fn(ins, outs, work) writes an elementwise map of the blocks ins of the
+    arrays into the blocks outs of the outputs, with out= and in place.
+    work holds ``scratch`` arrays shaped like the block, allocated once per
+    call and reused by every block, so the call holds its outputs and one
+    block's scratch, never a grid-sized temporary, and every value equals
+    that of one block of all the points.  Up to _BLOCK points the call is
+    that one block.  The arrays are cut along their first axis: a block of
+    a 2-D array is a run of its rows.  An empty input is one empty block,
+    so fn still raises what it raises.  Values that leave the float range
+    come out non-finite without a warning, under the call's one np.errstate;
+    normalization refuses them.
     """
-    n = len(arrays[0])
+    shape = arrays[0].shape
+    n = shape[0]
+    outs = [np.empty(shape) for _ in range(count)]
+    work = np.empty((scratch, min(n, _BLOCK)) + shape[1:])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if n <= _BLOCK:
-            return fn(*arrays)
-        outs = tuple(np.empty(arrays[0].shape) for _ in range(count))
-        for lo in range(0, n, _BLOCK):
-            parts = fn(*(a[lo:lo + _BLOCK] for a in arrays))
-            for out, part in zip(outs, parts if count > 1 else (parts,)):
-                out[lo:lo + _BLOCK] = part
-    return outs if count > 1 else outs[0]
+            fn(arrays, outs, work)
+        else:
+            for lo in range(0, n, _BLOCK):
+                hi = min(n, lo + _BLOCK)
+                fn([a[lo:hi] for a in arrays], [o[lo:hi] for o in outs], work[:, :hi - lo])
+    return outs
 
 
 class BranchPackets(Record, eq=False):
@@ -309,14 +326,28 @@ class BranchPackets(Record, eq=False):
         """
         kept = self.__dict__.get("_kept_sum")
         if kept is None or kept[0] != (w1, w2):
-            kept = ((w1, w2), _read_only(_combine(self, w1, w2)))
+            kept = ((w1, w2), _read_only(_combine(self, [(w1, w2, None)])[0]))
             object.__setattr__(self, "_kept_sum", kept)
         return kept[1]
 
 
-def _evolve(xs: np.ndarray, geom: Geometry) -> BranchPackets:
-    """The packets g_j = A_t exp(-(x - c_j)^2 / beta) of ``geom`` at xs, in
-    real arithmetic.
+def _packet_constants(geom: Geometry) -> tuple[float, float, float, float, float]:
+    """(c1, c2, Im(q) (c2 - c1) / 2, -Re(q), |A_t|^2) for ``_write_packets``:
+    the packets' centers and, with q = 1/beta, their phase and decay rates
+    and squared prefactor.  Raises NumericFailure when beta underflows to 0.
+    """
+    prefactor, beta = evolution_constants(geom.packet_width, effective_tau(geom))
+    if beta == 0:
+        raise NumericFailure("the evolved packets' beta underflows to 0 for this geometry")
+    c1, c2 = +0.5 * geom.slit_sep, -0.5 * geom.slit_sep
+    q = 1.0 / beta
+    return c1, c2, 0.5 * q.imag * (c2 - c1), -q.real, abs(prefactor) ** 2
+
+
+def _write_packets(xs, packets, den, constants):
+    """The packets g_j = A_t exp(-(x - c_j)^2 / beta) at xs, in real
+    arithmetic, written into packets = (mod1, mod2, cross_re, cross_im)
+    with den as scratch; constants are ``_packet_constants``.
 
     With q = 1/beta and u_j = (x - c_j)^2:
     |g_j|^2 = |A_t|^2 exp(-2 Re(q) u_j) and
@@ -328,76 +359,84 @@ def _evolve(xs: np.ndarray, geom: Geometry) -> BranchPackets:
     scalar ones.  phi/2 is exact, the 0.5 being folded into the phase
     constant, and the form is within about 2e-16 of np.cos and np.sin,
     absolute.  Near the zeros of cos it is not as accurate relative to the
-    value, which is why the closed form keeps np.cos.  The four arrays are
-    filled one block at a time.  Raises NumericFailure when beta underflows
-    to 0.
+    value, which is why the closed form keeps np.cos.
     """
-    prefactor, beta = evolution_constants(geom.packet_width, effective_tau(geom))
-    if beta == 0:
-        raise NumericFailure("the evolved packets' beta underflows to 0 for this geometry")
-    c1, c2 = +0.5 * geom.slit_sep, -0.5 * geom.slit_sep
-    q = 1.0 / beta
-    amp2 = abs(prefactor) ** 2
+    c1, c2, half_phase, decay, amp2 = constants
+    mod1, mod2, cross_re, cross_im = packets
+    t = np.multiply(xs, 2.0, out=cross_im)  # phi/2, then its tan
+    t *= half_phase
+    np.tan(t, out=t)
+    np.subtract(xs, c1, out=mod1)
+    mod1 *= mod1
+    np.subtract(xs, c2, out=mod2)
+    mod2 *= mod2
+    for u in (mod1, mod2):  # u_j becomes exp(-Re(q) u_j)
+        u *= decay
+        np.exp(u, out=u)
+    np.multiply(t, t, out=cross_re)  # cos = (1 - t^2) / (1 + t^2)
+    np.add(cross_re, 1.0, out=den)
+    np.subtract(1.0, cross_re, out=cross_re)
+    cross_re /= den
+    t *= 2.0  # sin = 2 t / (1 + t^2)
+    t /= den
+    mag = np.multiply(mod1, mod2, out=den)
+    mag *= amp2
+    cross_re *= mag
+    cross_im *= mag
+    for e in (mod1, mod2):  # exp(-Re(q) u_j) becomes |g_j|^2
+        e *= e
+        e *= amp2
 
-    def block(xs):
-        t = np.multiply(xs, 2.0)  # phi/2, then its tan
-        t *= 0.5 * q.imag * (c2 - c1)
-        np.tan(t, out=t)
-        u1 = np.subtract(xs, c1)
-        u1 *= u1
-        u2 = np.subtract(xs, c2)
-        u2 *= u2
-        for u in (u1, u2):  # u_j becomes exp(-Re(q) u_j)
-            u *= -q.real
-            np.exp(u, out=u)
-        cross_re = np.multiply(t, t)  # cos = (1 - t^2) / (1 + t^2)
-        den = np.add(cross_re, 1.0)
-        np.subtract(1.0, cross_re, out=cross_re)
-        cross_re /= den
-        cross_im = t  # sin = 2 t / (1 + t^2)
-        cross_im *= 2.0
-        cross_im /= den
-        mag = np.multiply(u1, u2, out=den)
-        mag *= amp2
-        cross_re *= mag
-        cross_im *= mag
-        for e in (u1, u2):  # exp(-Re(q) u_j) becomes |g_j|^2
-            e *= e
-            e *= amp2
-        return u1, u2, cross_re, cross_im
 
-    arrays = _blockwise(block, (xs,), 4)
+def _evolve(xs: np.ndarray, geom: Geometry) -> BranchPackets:
+    """Both branch packets of ``geom`` at xs (see ``_write_packets``), as
+    read-only arrays.  Raises NumericFailure when beta underflows to 0."""
+    constants = _packet_constants(geom)
+    arrays = _blockwise(lambda ins, outs, work: _write_packets(ins[0], outs, work[0], constants),
+                        (xs,), 4, 1)
     for arr in arrays:
         arr.flags.writeable = False
     return BranchPackets(*arrays)
 
 
-def _combine(packets: BranchPackets, w1: float, w2: float, c: complex | None = None,
-             kept_sum: np.ndarray | None = None):
-    """2 (P + 2 Re(c conj(g1) g2)) as a fresh array, where
-    P = w1 |g1|^2 + w2 |g2|^2 is the packets' which-way sum; P itself when c
-    is None.  A kept_sum, which must be that P and comes with a c, is added
-    in place to the cross term's real part, which gives the bits of adding
-    that part to P, as addition commutes; otherwise P is combined here and
-    the cross term added to it in place."""
-    def block(mod1, mod2, cross_re, cross_im, *kept):
-        if kept:
-            out = (2.0 * c.real) * cross_re
-            out += kept[0]
-        else:
-            out = w1 * mod1
-            out += w2 * mod2
-            if c is None:
-                return out
-            out += (2.0 * c.real) * cross_re
-        out -= (2.0 * c.imag) * cross_im
-        out *= 2.0
-        return out
-
-    arrays = (packets.mod1, packets.mod2, packets.cross_re, packets.cross_im)
+def _write_combine(out, packets, state, tmp, kept_sum=None):
+    """2 (P + 2 Re(c conj(g1) g2)) into out, with tmp as scratch, where
+    packets are (mod1, mod2, cross_re, cross_im), (w1, w2, c) is the path
+    state and P = w1 |g1|^2 + w2 |g2|^2 the packets' which-way sum; P itself
+    when c is None.  A kept_sum, which must be that P and comes with a c, is
+    added to the cross term's real part, which gives the bits of adding that
+    part to P, as addition commutes."""
+    mod1, mod2, cross_re, cross_im = packets
+    w1, w2, c = state
     if kept_sum is not None:
-        arrays += (kept_sum,)
-    return _blockwise(block, arrays, 1)
+        np.multiply(2.0 * c.real, cross_re, out=out)
+        out += kept_sum
+    else:
+        np.multiply(w1, mod1, out=out)
+        out += np.multiply(w2, mod2, out=tmp)
+        if c is None:
+            return
+        out += np.multiply(2.0 * c.real, cross_re, out=tmp)
+    out -= np.multiply(2.0 * c.imag, cross_im, out=tmp)
+    out *= 2.0
+
+
+def _combine(packets: BranchPackets, states, kept_sum: np.ndarray | None = None) -> list:
+    """For each path state (w1, w2, c) of states, 2 (P + 2 Re(c conj(g1) g2))
+    as a fresh array, where P = w1 |g1|^2 + w2 |g2|^2 is the packets'
+    which-way sum; P itself when c is None (see ``_write_combine``).  One
+    pass over the packets combines every state.  A kept_sum, which must be
+    that P and comes with one state with a c, is added to the cross term
+    instead of combining P."""
+    arrays = [packets.mod1, packets.mod2, packets.cross_re, packets.cross_im]
+    if kept_sum is not None:
+        arrays.append(kept_sum)
+
+    def block(ins, outs, work):
+        for out, state in zip(outs, states):
+            _write_combine(out, ins[:4], state, work[0], *ins[4:])
+
+    return _blockwise(block, arrays, len(states), 1)
 
 
 def intensity_direct(x, js: JointState):
@@ -409,22 +448,35 @@ def intensity_direct(x, js: JointState):
     and they keep their which-way sum for the last path weights, so calls for
     many detector states on one grid, geometry and path weights evolve the
     packets and sum their moduli once.  On positions the packets are evolved
-    and combined one block at a time and never held for all the points.
+    into one block's scratch and combined from there into the output, block
+    by block, and never held for all the points.
     """
     geom = js.geom
-    w1, w2, c = js.path_state()
+    state = js.path_state()
     if isinstance(x, ScreenGrid):
         packets = x._packets(geom)
-        return _combine(packets, w1, w2, c, packets.which_way_sum(w1, w2))
-    return _eval_checked(x, lambda xs: _combine(_evolve(xs, geom), w1, w2, c))
+        return _combine(packets, [state], packets.which_way_sum(*state[:2]))[0]
+    constants = _packet_constants(geom)
+
+    def block(ins, outs, work):
+        packets, tmp = work[:4], work[4]
+        _write_packets(ins[0], packets, tmp, constants)
+        _write_combine(outs[0], packets, state, tmp)
+
+    return _eval_checked(x, block, 1, 5)
 
 
 def intensity_closed_form(x, js: JointState):
     """Screen intensity via the closed form on the path state
     ``js.path_state()``: the Gaussian hump sum plus the cosine cross term
     (see ``_closed_parts``).  It reads no packet and no detector state."""
-    state = js.path_state()
-    return _eval_checked(x, lambda xs: np.add(*_closed_parts(xs, js.geom, state)))
+    spread, state = _spread(js.geom), js.path_state()
+
+    def block(ins, outs, work):  # the envelope in the output, then the sum
+        envelope, interference = _closed_parts(ins[0], spread, state, (outs[0], *work))
+        envelope += interference
+
+    return _eval_checked(x, block, 1, 2)
 
 
 def closed_form_parts(x, js: JointState):
@@ -434,13 +486,33 @@ def closed_form_parts(x, js: JointState):
     the cosine weighted by the path state's coherence.
     envelope + interference == closed form.
     """
-    state = js.path_state()
-    return _eval_checked(x, lambda xs: _closed_parts(xs, js.geom, state), 2)
+    spread, state = _spread(js.geom), js.path_state()
+    return _eval_checked(
+        x, lambda ins, outs, work: _closed_parts(ins[0], spread, state, (*outs, work[0])), 2, 1)
 
 
-def _closed_parts(xs: np.ndarray, geom: Geometry, state: tuple[float, float, complex]):
+def _spread(geom: Geometry) -> tuple[float, float, float, float]:
+    """(d, sigma^2, kappa, 1/sqrt(2 pi sigma^2)) of the closed form for
+    ``geom`` (see ``_closed_parts``), d being the slit separation.  Raises
+    NumericFailure when they leave the float range."""
+    eps, tau = geom.packet_width, effective_tau(geom)
+    try:
+        sig2 = eps * eps + (tau / (2.0 * eps)) ** 2
+        kap = geom.slit_sep * tau / (4.0 * eps**4 + tau * tau)
+        pref = 1.0 / math.sqrt(2.0 * math.pi * sig2)
+    except OverflowError:  # a float power past the float range raises
+        raise NumericFailure("the closed form's spread overflows for this geometry") from None
+    except ZeroDivisionError:  # and so does a division by a float that underflows to 0
+        raise NumericFailure("the closed form's spread underflows for this geometry") from None
+    return geom.slit_sep, sig2, kap, pref
+
+
+def _closed_parts(xs: np.ndarray, spread: tuple[float, float, float, float],
+                  state: tuple[float, float, complex], out):
     """The closed form's envelope and interference term at positions xs for
-    the path state (w1, w2, c), from the free Gaussian alone.
+    the path state (w1, w2, c), from the free Gaussian alone, written into
+    out, arrays (envelope, interference, scratch) shaped like xs; spread is
+    ``_spread`` of the geometry.
 
     A packet of width eps leaving the slit at c_j spreads, over the
     evolution tau, into psi_j = N exp(-(x - c_j)^2 / (4 eps^2 + 2i tau)).
@@ -478,26 +550,19 @@ def _closed_parts(xs: np.ndarray, geom: Geometry, state: tuple[float, float, com
     the envelope comes out inf or NaN, which normalization refuses.
     """
     w1, w2, c = state
-    slit_sep, eps, tau = geom.slit_sep, geom.packet_width, effective_tau(geom)
-    try:
-        sig2 = eps * eps + (tau / (2.0 * eps)) ** 2
-        kap = slit_sep * tau / (4.0 * eps**4 + tau * tau)
-        pref = 1.0 / math.sqrt(2.0 * math.pi * sig2)
-    except OverflowError:  # a float power past the float range raises
-        raise NumericFailure("the closed form's spread overflows for this geometry") from None
-    except ZeroDivisionError:  # and so does a division by a float that underflows to 0
-        raise NumericFailure("the closed form's spread underflows for this geometry") from None
-    gauss = np.multiply(xs, xs)
+    slit_sep, sig2, kap, pref = spread
+    envelope, interference, gauss = out
+    np.multiply(xs, xs, out=gauss)
     gauss += 0.25 * slit_sep * slit_sep
     gauss *= -0.5 / sig2
     np.exp(gauss, out=gauss)
     gauss *= pref
-    grow = np.multiply(xs, 0.5 * slit_sep / sig2)  # e^{+x d / 2 sigma^2}
+    grow = np.multiply(xs, 0.5 * slit_sep / sig2, out=interference)  # e^{+x d / 2 sigma^2}
     np.exp(grow, out=grow)
-    envelope = np.divide(w2, grow)
+    np.divide(w2, grow, out=envelope)
     envelope += np.multiply(grow, w1, out=grow)
     envelope *= gauss
-    interference = np.multiply(xs, kap)
+    np.multiply(xs, kap, out=interference)
     interference += cmath.phase(c)
     np.cos(interference, out=interference)
     interference *= 2.0 * abs(c)
@@ -598,8 +663,7 @@ def conditional_patterns(grid: ScreenGrid, js: JointState, basis: MeasurementBas
     _check_fringe_resolution(grid, js.geom)
     packets = grid._packets(js.geom)
     states = [js.path_state(b) for b in (basis.b1, basis.b2)]  # given each outcome
-    raws = [_combine(packets, *state) for state in states]
-    i_b, i_p, total = _clamp_and_normalize(grid._weights, raws)
+    i_b, i_p, total = _clamp_and_normalize(grid._weights, _combine(packets, states))
     return EraserResult(
         i_b=PatternSamples(grid, i_b, total, js.geom, states[0][:2]),
         i_b_perp=PatternSamples(grid, i_p, total, js.geom, states[1][:2]),

@@ -9,11 +9,11 @@ outcome's path state, and the path states of a basis's outcomes add up to
 the unconditioned one; the in-place clamp equals the old copying one bit for bit;
 the direct pattern and its which-way reference, read from the which-way sum
 the packets keep, equal two full combines bit for bit, however one grid is
-reused; kernels evaluated in blocks equal one evaluation over all the
-points bit for bit; and the visibility estimator, which finds the fringe lobe
-in a half-length, power-of-two spectrum, reads what one spectrum of every
-sample reads inside its regime, and on grids that cut the envelope reads
-apart from it by a pinned gap.
+reused; kernels evaluated in blocks, on 1-D or 2-D positions, equal one
+evaluation over all the points bit for bit; and the visibility estimator,
+which finds the fringe lobe in a half-length, power-of-two spectrum, reads
+what one spectrum of every sample reads inside its regime, and on grids
+that cut the envelope reads apart from it by a pinned gap.
 """
 import cmath
 import math
@@ -84,11 +84,14 @@ def test_direct_matches_closed_form_on_positions(geom, pair, amps):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.tuples(geometries, pairs, unequal_amps), min_size=2, max_size=4))
-def test_direct_matches_closed_form_on_one_kept_grid(calls):
+@given(st.lists(st.tuples(geometries, pairs, unequal_amps), min_size=2, max_size=4),
+       st.sampled_from([POINTS, 3 * 8192 + 5]))
+def test_direct_matches_closed_form_on_one_kept_grid(calls, n_points):
     # one grid serves every geometry, and the first comes back at the end,
-    # so the grid swaps its kept packets at least twice
-    grid = default_grid(calls[0][0], POINTS)
+    # so the grid swaps its kept packets at least twice; on the longer grid
+    # the positions route evolves each block in one reused scratch, across
+    # two block boundaries and a partial last block
+    grid = default_grid(calls[0][0], n_points)
     for geom, pair, amps in calls + calls[:1]:
         js = JointState(geom, pair, amps)
         kept = intensity_direct(grid, js)
@@ -106,7 +109,8 @@ def test_eraser_branches_are_the_closed_form_on_their_path_states(geom, pair, am
     grid = default_grid(geom, POINTS)
     er = conditional_patterns(grid, js, basis)
     for branch, outcome in ((er.i_b, basis.b1), (er.i_b_perp, basis.b2)):
-        parts = pattern._closed_parts(grid.xs(), geom, js.path_state(outcome))
+        out = [np.empty(POINTS) for _ in range(3)]
+        parts = pattern._closed_parts(grid.xs(), pattern._spread(geom), js.path_state(outcome), out)
         _assert_routes_agree(branch.intensity * branch.norm_constant, *parts)
 
 
@@ -170,8 +174,9 @@ def _two_combines(grid, js):
     a1, a2 = js.path_amps
     w1, w2 = abs(a1) ** 2, abs(a2) ** 2
     c = a1.conjugate() * a2 * inner_product(js.pair.d1, js.pair.d2)
-    intensity, total = _clamp_and_normalize(grid._weights, [pattern._combine(packets, w1, w2, c)])
-    reference = pattern._combine(packets, w1, w2, 0.0) / total
+    raw = pattern._combine(packets, [(w1, w2, c)])[0]
+    intensity, total = _clamp_and_normalize(grid._weights, [raw])
+    reference = pattern._combine(packets, [(w1, w2, 0.0)])[0] / total
     return intensity.tobytes(), total, reference.tobytes()
 
 
@@ -311,10 +316,15 @@ def test_in_place_clamp_equals_copying_clamp(data):
         assert arr.tobytes() == want.tobytes()
 
 
+def _position_bytes(js, xs):
+    """The results of the kernels on positions at xs, as bytes."""
+    results = [intensity_direct(xs, js), intensity_closed_form(xs, js), *closed_form_parts(xs, js)]
+    return [r.tobytes() for r in results]
+
+
 def _kernel_bytes(js, basis, xs, n_points):
     """Every kernel's result at xs, and on a fresh n-point grid, as bytes."""
-    results = [intensity_direct(xs, js), intensity_closed_form(xs, js),
-               *closed_form_parts(xs, js)]
+    results = []
     if n_points >= 2:
         # resolves the fringes however few its points
         half = min(5.0, (n_points - 1) / 20.0) * fringe_width(js.geom)
@@ -329,7 +339,7 @@ def _kernel_bytes(js, basis, xs, n_points):
         results += [np.float64(intensity_direct(x, js)),
                     np.float64(intensity_closed_form(x, js)),
                     np.array(closed_form_parts(x, js))]
-    return [r.tobytes() for r in results]
+    return _position_bytes(js, xs) + [r.tobytes() for r in results]
 
 
 @pytest.mark.parametrize("shuffled", [False, True])
@@ -342,6 +352,10 @@ def test_blocks_are_bit_identical_to_one_block(n_points, shuffled, geom, pair, a
     if shuffled:
         xs = np.random.default_rng(n_points).permutation(xs)
     blocked = _kernel_bytes(js, basis, xs, n_points)
+    # a 2-D array is cut into blocks of its rows, and its scratch is shaped
+    # like them: a column of many blocks, and a row that is one block
+    for shaped in (xs.reshape(-1, 1), xs.reshape(1, -1)):
+        assert _position_bytes(js, shaped) == blocked[:4]
     with mock.patch.object(pattern, "_BLOCK", n_points):
         assert _kernel_bytes(js, basis, xs, n_points) == blocked
 

@@ -488,7 +488,7 @@ class TestBlockedKernelMemory:
 
     @pytest.mark.parametrize("kernel, bound", [
         ("direct", 1.5), ("closed_form", 1.5), ("closed_form_parts", 2.5), ("pattern_on_grid", 1.5),
-        ("closed_form_on_grid", 3.5),
+        ("closed_form_on_grid", 3.5), ("conditional", 3.5), ("direct_on_grid", 1.5),
     ])
     def test_peak_is_the_outputs_and_block_scratch(self, standard_geom, kernel, bound):
         js = JointState(standard_geom, make_detector_pair(0.6, 0.3))
@@ -500,5 +500,7 @@ class TestBlockedKernelMemory:
             "closed_form_parts": lambda: closed_form_parts(xs, js),
             "pattern_on_grid": lambda: pattern_on_grid(grid, js),
             "closed_form_on_grid": lambda: closed_form_on_grid(grid, js),
+            "conditional": lambda: conditional_patterns(grid, js, rotated_basis(0.7)),
+            "direct_on_grid": lambda: intensity_direct(grid, js),
         }[kernel]
         assert self._traced_peak(call) <= bound * xs.nbytes

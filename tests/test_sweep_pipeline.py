@@ -167,7 +167,7 @@ def test_one_spectrum_per_fringed_pattern_and_none_per_flat_one(name):
 
 def _counted_sweep(tmp_path, param, values, grid):
     """Run scan-duality over values; the packet evolutions and the which-way
-    sums it built, each sum one _combine(packets, w1, w2) call."""
+    sums it built, each sum one _combine(packets, [(w1, w2, None)]) call."""
     default_grid.cache_clear()  # so no grid keeps the packets yet
     base = {"geometry": GEOMETRY, "detector": {"overlap": 0.6, "phase": 0.3}}
     if grid:
@@ -177,7 +177,7 @@ def _counted_sweep(tmp_path, param, values, grid):
     with mock.patch.object(pattern, "_evolve", wraps=pattern._evolve) as evolve, \
             mock.patch.object(pattern, "_combine", wraps=pattern._combine) as combine:
         assert main(["scan-duality", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    sums = [call for call in combine.call_args_list if len(call.args) == 3 and not call.kwargs]
+    sums = [call for call in combine.call_args_list if call.args[1][0][2] is None]
     return evolve.call_count, len(sums)
 
 

@@ -364,12 +364,14 @@ def _api_pattern(rng: random.Random) -> list:
 
 def _api_positions(rng: random.Random) -> list:
     """Both intensity routes and the closed form's parts at positions, one
-    and many, past one kernel block too."""
+    and many, past one kernel block too, and across two block boundaries
+    into a partial last block."""
     from whichway import closed_form_parts, fringe_width, intensity_closed_form, intensity_direct
 
     js = _api_joint_state(rng)
     half = rng.uniform(1.0, 8.0) * fringe_width(js.geom)
-    xs = np.array([rng.uniform(-half, half) for _ in range(rng.choice((1, 7, 1000, 9000)))])
+    count = rng.choice((1, 7, 1000, 9000, 3 * 8192 + 5))
+    xs = np.array([rng.uniform(-half, half) for _ in range(count)])
     x = xs[0].item()
     return [intensity_direct(xs, js), intensity_closed_form(xs, js), *closed_form_parts(xs, js),
             intensity_direct(x, js), intensity_closed_form(x, js), closed_form_parts(x, js)]
