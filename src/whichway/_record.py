@@ -21,8 +21,8 @@ class Record:
     field.  A subclass declared with ``eq=False`` compares and hashes by
     identity instead, and keeps no ``_values``.  Setting or deleting an
     attribute raises AttributeError.  The repr names every field, as
-    ``Name(field=value, ...)``.  A subclass declares ``__slots__`` unless
-    it keeps computed values in a ``__dict__``.
+    ``Name(field=value, ...)``.  A subclass declares ``__slots__``, so no
+    record has a ``__dict__``.
     """
 
     __slots__ = ("_values",)
@@ -53,8 +53,8 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
     def __setstate__(self, state):
-        # pickle and copy hand back what object.__getstate__ gave them: the
-        # __dict__, or the __dict__ (None without one) and the slots' values
-        for part in state if isinstance(state, tuple) else (state,):
-            for name, value in (part or {}).items():
-                init_field(self, name, value)
+        # pickle and copy hand back what object.__getstate__ gave them: no
+        # __dict__ (None) and the slots' values
+        _, slots = state
+        for name, value in slots.items():
+            init_field(self, name, value)

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from contextlib import contextmanager
 from importlib import resources
 from typing import TYPE_CHECKING
@@ -230,9 +231,19 @@ def _grid(cfg: RunConfig, geometry: Geometry):
     return ScreenGrid(*cfg.grid) if cfg.grid else default_grid(geometry)
 
 
+def _grid_size(cfg: RunConfig) -> str:
+    """The grids a job on cfg computes on, as ``_sized`` names them: the
+    configured grid, or else the default grid of each geometry."""
+    from .pattern import DEFAULT_POINTS
+
+    return f"a grid of {cfg.grid[2] if cfg.grid else DEFAULT_POINTS} points"
+
+
 @contextmanager
 def _sized(what: str):
-    """Name ``what`` in the MemoryError raised when it does not fit in memory."""
+    """Name ``what`` in the MemoryError raised when it does not fit in memory.
+    A block that builds a grid inside it reports NumPy's refusal of the
+    grid's size, which ``ScreenGrid`` raises as a MemoryError, the same way."""
     try:
         yield
     except MemoryError:
@@ -249,8 +260,8 @@ def _cmd_pattern(args) -> tuple[RunConfig, dict]:
 
     cfg = load_run_config(args.config)
     js = JointState(cfg.geometry, make_detector_pair(cfg.overlap, cfg.phase))
-    grid = _grid(cfg, cfg.geometry)
-    with _sized(f"a grid of {grid.n_points} points"):
+    with _sized(_grid_size(cfg)):
+        grid = _grid(cfg, cfg.geometry)
         samples, envelope, interference = closed_form_on_grid(grid, js)
     return cfg, {
         "x_m": grid.xs(),
@@ -262,16 +273,14 @@ def _cmd_pattern(args) -> tuple[RunConfig, dict]:
 
 def _cmd_scan_duality(args) -> tuple[RunConfig, dict]:
     from .analysis import DualityReport, duality_report
-    from .pattern import default_grid
+    from .pattern import ScreenGrid, default_grid
 
     base, runs = load_sweep_config(args.config)
-    # one configured grid for every value, so it keeps its packets between them
-    configured = _grid(base, base.geometry) if base.grid else None
     reports = []
-    for geometry, pair in runs:
-        grid = configured or default_grid(geometry)
-        with _sized(f"a grid of {grid.n_points} points"):
-            reports.append(duality_report(geometry, pair, grid))
+    with _sized(_grid_size(base)):
+        configured = ScreenGrid(*base.grid) if base.grid else None  # one for every value
+        for geometry, pair in runs:
+            reports.append(duality_report(geometry, pair, configured or default_grid(geometry)))
     columns = {"s": [pair.overlap_mag for _, pair in runs]}
     for name in DualityReport._fields:
         columns[name] = [getattr(rep, name) for rep in reports]
@@ -287,8 +296,8 @@ def _cmd_eraser(args) -> tuple[RunConfig, dict]:
         raise ValidationError("eraser subcommand requires eraser.enabled = true in the config")
     js = JointState(cfg.geometry, make_detector_pair(cfg.overlap, cfg.phase))
     basis = rotated_basis(cfg.basis_angle)
-    grid = _grid(cfg, cfg.geometry)
-    with _sized(f"a grid of {grid.n_points} points"):
+    with _sized(_grid_size(cfg)):
+        grid = _grid(cfg, cfg.geometry)
         er = conditional_patterns(grid, js, basis)
     return cfg, {
         "x_m": grid.xs(),
@@ -419,7 +428,16 @@ def _keep_freed_memory():
     mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD: free heap kept before trimming
 
 
+def _warning_line(message, category, filename, lineno, line=None):
+    """A warning as the CLI prints it: one line, without the source file and
+    line that raised it, so stderr does not depend on the source layout."""
+    return f"warning: {message}\n"
+
+
 def run():
-    """Console-script and ``python -m whichway`` entry point."""
+    """Console-script and ``python -m whichway`` entry point: it sets up the
+    process (the allocator thresholds and the warning format), then runs
+    ``main``, which leaves both as they are when called from Python."""
     _keep_freed_memory()
+    warnings.formatwarning = _warning_line
     raise SystemExit(main())

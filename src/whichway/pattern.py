@@ -13,17 +13,18 @@ The direct and conditional routes start from the two evolved branch packets.
 The packets depend only on the grid and the geometry; the detector only
 weights their moduli and their cross term, through ``JointState.path_state``,
 so patterns for many detector states on one grid and geometry evolve them
-once and combine them per state.  The packets also keep their which-way sum
-w1 |g1|^2 + w2 |g2|^2 for the last path weights a direct pattern on a grid
-asked for: the direct pattern adds it to the cross term, and
-``PatternSamples.which_way``, the which-way reference the visibility
-estimator reads the pattern against, is that sum doubled and normalized,
-with no second combine.  The packets' cross phase phi takes its cos and sin
-from t = tan(phi/2), as (1 - t^2)/(1 + t^2) and 2t/(1 + t^2), which NumPy
-computes several times faster than cos and sin.  The closed form keeps
-``np.cos``: it stays an oracle derived apart from the packets, and its
-interference term keeps cos's relative accuracy at the zeros of the cosine,
-which the half-angle form does not have.
+once and combine them per state: ``_packets`` keeps the packets of the last
+grid and geometry asked for, and ``_which_way_sum`` their which-way sum
+w1 |g1|^2 + w2 |g2|^2 for the last path weights, both keyed by value like
+``default_grid``.  The direct pattern on a grid adds that sum to the cross
+term, and ``PatternSamples.which_way``, the which-way reference the
+visibility estimator reads the pattern against, is that sum doubled and
+normalized, with no second combine.  The packets' cross phase phi takes its
+cos and sin from t = tan(phi/2), as (1 - t^2)/(1 + t^2) and 2t/(1 + t^2),
+which NumPy computes several times faster than cos and sin.  The closed
+form keeps ``np.cos``: it stays an oracle derived apart from the packets,
+and its interference term keeps cos's relative accuracy at the zeros of the
+cosine, which the half-angle form does not have.
 
 Each kernel call computes its constants once and runs through
 ``_blockwise``: one ``np.errstate``, the outputs and one block-sized scratch
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -68,14 +69,14 @@ _BLOCK = 8192
 class ScreenGrid(Record):
     """Uniform grid of screen positions (meters).
 
-    The positions, their quadrature weights and the packets of the direct
-    and conditional routes are computed on first use and kept with the grid,
-    so every direct pattern, eraser pattern and estimate on one grid object
-    shares them.  The packets keep their which-way sum for the last path
-    weights a direct pattern or a which-way reference asked for.
+    The positions and their trapezoid weights are computed when the grid is
+    built and are read-only.  Equal grids have the same positions, bit for
+    bit, so the kernels' caches key on the grid's value.  Raises
+    MemoryError when NumPy refuses the positions' size.
     """
 
-    _fields = ("x_min", "x_max", "n_points")  # no __slots__: what it keeps is in __dict__
+    _fields = ("x_min", "x_max", "n_points")
+    __slots__ = (*_fields, "_xs", "_weights")
 
     def __init__(self, x_min: float, x_max: float, n_points: int):
         n_points = grid_points(x_min, x_max, n_points)
@@ -83,38 +84,26 @@ class ScreenGrid(Record):
         init_field(self, "x_max", x_max)
         init_field(self, "n_points", n_points)
         init_field(self, "_values", (x_min, x_max, n_points))
+        try:
+            xs = np.linspace(x_min, x_max, n_points)
+        except ValueError as exc:  # NumPy refuses an array past its size limit
+            raise MemoryError(str(exc)) from None
+        h = xs[1] - xs[0]
+        wts = np.full(n_points, h)  # trapezoid rule: sum(weights * f) integrates f
+        wts[0] = wts[-1] = 0.5 * h
+        init_field(self, "_xs", _read_only(xs))
+        init_field(self, "_weights", _read_only(wts))
+
+    def __reduce__(self):
+        # rebuilt from the fields, so the copy's arrays are read-only too
+        return ScreenGrid, self._values
 
     def xs(self) -> np.ndarray:
         """The positions, read-only."""
         return self._xs
 
-    @cached_property
-    def _xs(self) -> np.ndarray:
-        return _read_only(np.linspace(self.x_min, self.x_max, self.n_points))
-
-    @cached_property
-    def _weights(self) -> np.ndarray:
-        """Trapezoid-rule weights: sum(weights * f) integrates f."""
-        xs = self.xs()
-        h = xs[1] - xs[0]
-        wts = np.full(self.n_points, h)
-        wts[0] = wts[-1] = 0.5 * h
-        return _read_only(wts)
-
     def spacing(self) -> float:
         return (self.x_max - self.x_min) / (self.n_points - 1)
-
-    def _packets(self, geom: Geometry) -> BranchPackets:
-        """Both branch packets of ``geom`` evolved onto this grid.
-
-        The packets of the last geometry asked for are kept, so patterns for
-        many detector states on one geometry evolve them once.
-        """
-        kept = self.__dict__.get("_kept_packets")
-        if kept is None or kept[0] != geom:
-            kept = (geom, _evolve(self.xs(), geom))
-            object.__setattr__(self, "_kept_packets", kept)
-        return kept[1]
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -190,13 +179,12 @@ class PatternSamples(Record, eq=False):
         It is what the screen shows when the detector states are orthogonal
         (a perfect which-way record): the same packets with the same path
         weights, with no interference, divided by this pattern's
-        norm_constant.  It reads the which-way sum the direct route's
-        packets keep for these path weights, whichever route made the
-        pattern, so after a direct pattern on the same grid it combines
-        nothing.
+        norm_constant.  It reads ``_which_way_sum`` of the direct route's
+        packets for these path weights, whichever route made the pattern,
+        so after a direct pattern on the same grid it combines nothing.
         Raises NumericFailure when it leaves the float range.
         """
-        kept = self.grid._packets(self.geom).which_way_sum(*self.path_weights)
+        kept = _which_way_sum(self.grid, self.geom, *self.path_weights)
         with np.errstate(over="ignore"):
             ref = np.multiply(kept, 2.0)
             ref /= self.norm_constant
@@ -237,16 +225,22 @@ def fringe_width(geom: Geometry) -> float:
     return width
 
 
+#: Points of a default grid.
+DEFAULT_POINTS = 8192
+
+
 @lru_cache(maxsize=1)
-def default_grid(geom: Geometry, n_points: int = 8192) -> ScreenGrid:
+def default_grid(geom: Geometry, n_points: int = DEFAULT_POINTS) -> ScreenGrid:
     """Centered grid spanning +-5 fringe widths.
 
     Wide enough to hold >= 10 oscillation periods for stable visibility
     extraction, fine enough to satisfy the fringe-resolution guard.  A call
-    that repeats the previous call's arguments returns the same grid, with
-    the positions, weights and packets it keeps, so a loop over detector
-    states on one geometry evolves the packets once.  The cache holds that
-    one grid until a call with other arguments: 384 KiB at 8192 points.
+    that repeats the previous call's arguments returns the same grid.  The
+    cache holds that one grid, its positions and weights (128 KiB at 8192
+    points), until a call with other arguments; ``_packets`` and
+    ``_which_way_sum`` keep the last packets and which-way sum (256 and
+    64 KiB) the same way, so a loop over detector states on one geometry
+    evolves the packets and sums their moduli once.
     Raises NumericFailure when the span or the spacing the geometry implies
     is not a normal float, and ValidationError for a bad n_points.
     """
@@ -309,7 +303,7 @@ class BranchPackets(Record, eq=False):
     read-only.
     """
 
-    _fields = ("mod1", "mod2", "cross_re", "cross_im")  # no __slots__: the kept sum is in __dict__
+    __slots__ = _fields = ("mod1", "mod2", "cross_re", "cross_im")
 
     def __init__(self, mod1: np.ndarray, mod2: np.ndarray, cross_re: np.ndarray,
                  cross_im: np.ndarray):
@@ -317,18 +311,6 @@ class BranchPackets(Record, eq=False):
         init_field(self, "mod2", mod2)
         init_field(self, "cross_re", cross_re)
         init_field(self, "cross_im", cross_im)
-
-    def which_way_sum(self, w1: float, w2: float) -> np.ndarray:
-        """w1 |g1|^2 + w2 |g2|^2, read-only.
-
-        The sum for the last weights asked for is kept with the packets, so
-        it goes when a grid drops them for another geometry.
-        """
-        kept = self.__dict__.get("_kept_sum")
-        if kept is None or kept[0] != (w1, w2):
-            kept = ((w1, w2), _read_only(_combine(self, [(w1, w2, None)])[0]))
-            object.__setattr__(self, "_kept_sum", kept)
-        return kept[1]
 
 
 def _packet_constants(geom: Geometry) -> tuple[float, float, float, float, float]:
@@ -399,6 +381,22 @@ def _evolve(xs: np.ndarray, geom: Geometry) -> BranchPackets:
     return BranchPackets(*arrays)
 
 
+@lru_cache(maxsize=1)
+def _packets(grid: ScreenGrid, geom: Geometry) -> BranchPackets:
+    """Both branch packets of ``geom`` evolved onto ``grid``.  The packets of
+    the last grid and geometry asked for are kept, so patterns for many
+    detector states on one grid and geometry evolve them once."""
+    return _evolve(grid.xs(), geom)
+
+
+@lru_cache(maxsize=1)
+def _which_way_sum(grid: ScreenGrid, geom: Geometry, w1: float, w2: float) -> np.ndarray:
+    """w1 |g1|^2 + w2 |g2|^2 of ``_packets(grid, geom)``, read-only.  The sum
+    for the last arguments is kept, so an overlap or phase sweep sums the
+    moduli once."""
+    return _read_only(_combine(_packets(grid, geom), [(w1, w2, None)])[0])
+
+
 def _write_combine(out, packets, state, tmp, kept_sum=None):
     """2 (P + 2 Re(c conj(g1) g2)) into out, with tmp as scratch, where
     packets are (mod1, mod2, cross_re, cross_im), (w1, w2, c) is the path
@@ -444,18 +442,16 @@ def intensity_direct(x, js: JointState):
 
     The packets' |g1|^2, |g2|^2 and conj(g1) g2, in real arithmetic, weighted
     by ``js.path_state()``.  x is a position, an array of them, or a
-    ScreenGrid: the grid keeps the packets of the last geometry it was given,
-    and they keep their which-way sum for the last path weights, so calls for
-    many detector states on one grid, geometry and path weights evolve the
-    packets and sum their moduli once.  On positions the packets are evolved
-    into one block's scratch and combined from there into the output, block
-    by block, and never held for all the points.
+    ScreenGrid: on a grid it reads ``_packets`` and ``_which_way_sum``, so
+    calls for many detector states on one grid, geometry and path weights
+    evolve the packets and sum their moduli once.  On positions the packets
+    are evolved into one block's scratch and combined from there into the
+    output, block by block, and never held for all the points.
     """
     geom = js.geom
     state = js.path_state()
     if isinstance(x, ScreenGrid):
-        packets = x._packets(geom)
-        return _combine(packets, [state], packets.which_way_sum(*state[:2]))[0]
+        return _combine(_packets(x, geom), [state], _which_way_sum(x, geom, *state[:2]))[0]
     constants = _packet_constants(geom)
 
     def block(ins, outs, work):
@@ -661,7 +657,7 @@ def conditional_patterns(grid: ScreenGrid, js: JointState, basis: MeasurementBas
     eraser observable reads, only when the packets do not overlap there.
     """
     _check_fringe_resolution(grid, js.geom)
-    packets = grid._packets(js.geom)
+    packets = _packets(grid, js.geom)
     states = [js.path_state(b) for b in (basis.b1, basis.b2)]  # given each outcome
     i_b, i_p, total = _clamp_and_normalize(grid._weights, _combine(packets, states))
     return EraserResult(

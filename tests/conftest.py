@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from whichway import Geometry, JointState, make_detector_pair
+from whichway import Geometry, JointState, make_detector_pair, pattern
 
 
 @pytest.fixture
@@ -29,3 +29,16 @@ def joint_state(standard_geom):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+@pytest.fixture(scope="session")
+def uncached():
+    """Call a function with the pattern module's one-slot caches emptied
+    first (the default grid, the packets and their which-way sum), so that it
+    builds and evolves its own, as a fresh process does."""
+    def call(fn, *args):
+        for cache in (pattern.default_grid, pattern._packets, pattern._which_way_sum):
+            cache.cache_clear()
+        return fn(*args)
+
+    return call

@@ -7,9 +7,9 @@ any path weights and with the four-term complex expansion; the eraser
 branches add up to the direct pattern, each is the closed form on its
 outcome's path state, and the path states of a basis's outcomes add up to
 the unconditioned one; the in-place clamp equals the old copying one bit for bit;
-the direct pattern and its which-way reference, read from the which-way sum
-the packets keep, equal two full combines bit for bit, however one grid is
-reused; kernels evaluated in blocks, on 1-D or 2-D positions, equal one
+the direct pattern and its which-way reference, read from the kept
+which-way sum, equal two full combines of freshly evolved packets bit for
+bit, however one grid is reused; kernels evaluated in blocks, on 1-D or 2-D positions, equal one
 evaluation over all the points bit for bit; and the visibility estimator,
 which finds the fringe lobe in a half-length, power-of-two spectrum, reads
 what one spectrum of every sample reads inside its regime, and on grids
@@ -88,7 +88,7 @@ def test_direct_matches_closed_form_on_positions(geom, pair, amps):
        st.sampled_from([POINTS, 3 * 8192 + 5]))
 def test_direct_matches_closed_form_on_one_kept_grid(calls, n_points):
     # one grid serves every geometry, and the first comes back at the end,
-    # so the grid swaps its kept packets at least twice; on the longer grid
+    # so the kept packets change hands at least twice; on the longer grid
     # the positions route evolves each block in one reused scratch, across
     # two block boundaries and a partial last block
     grid = default_grid(calls[0][0], n_points)
@@ -168,9 +168,10 @@ any_amps = st.just((math.sqrt(0.5), math.sqrt(0.5))) | unequal_amps
 
 def _two_combines(grid, js):
     """The direct pattern, its norm_constant and its which-way reference as
-    two full combines of the packets: _combine with the cross weight c,
-    normalized, and _combine with c = 0, divided by the norm_constant."""
-    packets = grid._packets(js.geom)
+    two full combines of freshly evolved packets: _combine with the cross
+    weight c, normalized, and _combine with c = 0, divided by the
+    norm_constant."""
+    packets = pattern._evolve(grid.xs(), js.geom)
     a1, a2 = js.path_amps
     w1, w2 = abs(a1) ** 2, abs(a2) ** 2
     c = a1.conjugate() * a2 * inner_product(js.pair.d1, js.pair.d2)
@@ -197,11 +198,11 @@ def test_kept_which_way_sum_gives_the_bits_of_two_combines(geom, pair, amps, n_p
     assert _kept_sum_bits(grid, js) == _two_combines(fresh, js)
 
 
-def test_one_grid_reused_across_geometries_and_path_weights_keeps_the_bits():
+def test_one_grid_reused_across_geometries_and_path_weights_keeps_the_bits(uncached):
     # geometry A, then B, then A again, each with two sets of path weights
     # and back, and an eraser's which-way reference in between: the kept
     # packets and which-way sum change hands, and every pattern and
-    # reference equals one on a fresh grid
+    # reference equals one from freshly evolved packets
     near, far = Geometry(5e-7, 1e-4, 1.0, 1e-5), Geometry(5e-7, 1e-4, 2.0, 1e-5)
     shared = ScreenGrid(-0.02, 0.02, 2048)
     amp_sets = [(math.sqrt(0.5), math.sqrt(0.5)), (0.6, 0.8j), (math.sqrt(0.5), math.sqrt(0.5))]
@@ -211,16 +212,16 @@ def test_one_grid_reused_across_geometries_and_path_weights_keeps_the_bits():
             js = JointState(geom, make_detector_pair(0.7, 0.4), amps)
             fresh = ScreenGrid(shared.x_min, shared.x_max, shared.n_points)
             assert _kept_sum_bits(shared, js) == _two_combines(fresh, js)
-            eraser = conditional_patterns(shared, js, basis)
-            fresh_eraser = conditional_patterns(fresh, js, basis)
-            assert eraser.i_b.which_way().tobytes() == fresh_eraser.i_b.which_way().tobytes()
+            reference = conditional_patterns(shared, js, basis).i_b.which_way()
+            fresh_eraser = uncached(conditional_patterns, fresh, js, basis)
+            assert reference.tobytes() == fresh_eraser.i_b.which_way().tobytes()
 
 
 @pytest.mark.parametrize("wavelength, screen_dist", [(5e-7, 1.0), (4e-7, 0.5), (6e-7, 2.0)])
 def test_kept_arrays_are_the_packet_products(wavelength, screen_dist):
     geom = Geometry(wavelength, 1e-4, screen_dist, 1e-5)
     grid = default_grid(geom)
-    kept = grid._packets(geom)
+    kept = pattern._packets(grid, geom)
     g1, g2 = _packets(grid.xs(), geom)
     cross = np.conj(g1) * g2
     peak = np.max(np.abs(g1) ** 2)
@@ -276,7 +277,7 @@ def test_non_finite_phases_give_nan():
 def test_cross_term_modulus_is_the_product_of_the_moduli(geom):
     # |conj(g1) g2|^2 = |g1|^2 |g2|^2 whatever the phase, with no libm
     # function or closed form to compare with
-    kept = default_grid(geom, POINTS)._packets(geom)
+    kept = pattern._packets(default_grid(geom, POINTS), geom)
     product = kept.mod1 * kept.mod2
     modulus = kept.cross_re**2 + kept.cross_im**2
     assert np.all(np.abs(modulus - product) <= 1e-14 * product)

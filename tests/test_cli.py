@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -635,6 +636,48 @@ class TestEntryPoints:
         assert (proc.returncode, proc.stderr) == (code, captured.err.encode()) == (0, b"")
         assert proc.stdout == captured.out.encode()
 
+    @pytest.mark.parametrize("sweep", [False, True])
+    def test_script_prints_a_warning_as_one_line(self, tmp_path, sweep):
+        # no source file and line: stderr does not move with the source
+        # layout; a sweep that warns twice alike prints the warning once
+        thick = dict(STANDARD_GEOMETRY, slit_sep=3e-5)
+        argv = ["bohr", "--config", str(write_config(tmp_path, geometry=thick))]
+        warning = "slit_sep = 3e-05 m is within 4 packet widths (1e-05 m)"
+        if sweep:
+            argv = ["scan-duality", "--config", str(tmp_path / "sweep.json")]
+            base = {"geometry": STANDARD_GEOMETRY, "detector": {"overlap": 0.5},
+                    "grid": {"x_min": -0.02, "x_max": 0.02, "n_points": 256}}
+            (tmp_path / "sweep.json").write_text(json.dumps({
+                "base": base, "sweep_param": "packet_width", "values": [2.6e-5, 2.6e-5]}))
+            warning = "slit_sep = 0.0001 m is within 4 packet widths (2.6e-05 m)"
+        src = os.path.dirname(os.path.dirname(whichway.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "whichway", *argv, "--out",
+                               str(tmp_path / "out")], capture_output=True, env=env)
+        assert proc.returncode == 0
+        assert proc.stderr.decode() == (f"warning: {warning}; the two packets overlap already "
+                                        f"at the slits\nwrote {tmp_path / 'out'}\n")
+
+    def test_run_sets_up_the_process_and_main_does_not(self, tmp_path, monkeypatch, capsys):
+        # run() fixes the allocator thresholds and the warning format before
+        # main(); main() called from Python leaves both as they are
+        from whichway import cli
+
+        setup = []
+        monkeypatch.setattr(cli, "_keep_freed_memory", lambda: setup.append("allocator"))
+        monkeypatch.setattr(cli, "warnings", types.SimpleNamespace())
+        argv = ["bohr", "--config", str(write_config(tmp_path))]
+        assert main(argv) == 0
+        assert setup == [] and vars(cli.warnings) == {}
+        monkeypatch.setattr(sys, "argv", ["whichway", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.run()
+        assert exit_info.value.code == 0
+        assert setup == ["allocator"]
+        assert vars(cli.warnings) == {"formatwarning": cli._warning_line}
+        assert capsys.readouterr().out.startswith('{"delta_px": ')
+
     def test_subcommand_help(self):
         for name in ("pattern", "scan-duality", "eraser", "uncertainty-scan", "bohr"):
             assert main([name, "--help"]) == 0
@@ -763,9 +806,22 @@ def _no_memory(*args, **kwargs):
 class TestOutOfMemory:
     """Running out of memory is a one-line config error, exit 1, no output.
 
-    The allocation is made to fail; no test asks for a really huge grid."""
+    Either a kernel's allocation is made to fail, with the pattern module's
+    caches emptied first so that the kernel runs, or the config asks for a
+    grid so large that NumPy refuses it at once: 2^57 points need 1 EiB, and
+    2^60 - 1 points pass NumPy's size limit, so neither touches memory."""
 
     GRID = {"x_min": -0.025, "x_max": 0.025, "n_points": 8193}
+
+    @staticmethod
+    def config(tmp_path, command, n_points):
+        grid = dict(TestOutOfMemory.GRID, n_points=n_points)
+        cfg = write_config(tmp_path, grid=grid, eraser={"enabled": True})
+        if command == "scan-duality":
+            base = {"geometry": STANDARD_GEOMETRY, "detector": {"overlap": 1.0}, "grid": grid}
+            cfg.write_text(json.dumps({"base": base, "sweep_param": "overlap",
+                                       "values": [0.5]}))
+        return cfg
 
     @pytest.mark.parametrize("command, allocation", [
         ("pattern", "whichway.pattern._closed_parts"),
@@ -773,18 +829,23 @@ class TestOutOfMemory:
         ("scan-duality", "whichway.pattern._evolve"),
     ])
     def test_grid_that_does_not_fit_names_its_size(self, tmp_path, monkeypatch, capsys,
-                                                   command, allocation):
-        cfg = write_config(tmp_path, grid=self.GRID, eraser={"enabled": True})
-        if command == "scan-duality":
-            base = {"geometry": STANDARD_GEOMETRY, "detector": {"overlap": 1.0},
-                    "grid": self.GRID}
-            cfg.write_text(json.dumps({"base": base, "sweep_param": "overlap",
-                                       "values": [0.5]}))
+                                                   uncached, command, allocation):
+        cfg = self.config(tmp_path, command, self.GRID["n_points"])
         monkeypatch.setattr(allocation, _no_memory)
+        out = tmp_path / "out.csv"
+        assert uncached(main, [command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err \
+            == "config error: a grid of 8193 points does not fit in memory\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_points", [2**57, 2**60 - 1], ids=["2**57", "2**60-1"])
+    @pytest.mark.parametrize("command", ["pattern", "eraser", "scan-duality"])
+    def test_huge_configured_grid_names_its_size(self, tmp_path, capsys, command, n_points):
+        cfg = self.config(tmp_path, command, n_points)
         out = tmp_path / "out.csv"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err \
-            == "config error: a grid of 8193 points does not fit in memory\n"
+            == f"config error: a grid of {n_points} points does not fit in memory\n"
         assert not out.exists()
 
     def test_lattice_that_does_not_fit_names_its_size(self, monkeypatch, capsys):

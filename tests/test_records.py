@@ -26,6 +26,7 @@ from whichway import (
     duality_report,
     make_detector_pair,
     mub_basis,
+    pattern,
     pattern_on_grid,
     rotated_basis,
 )
@@ -59,7 +60,7 @@ IDENTITY_RECORDS = {
     "DetectorStates": lambda x: DetectorStates(np.array([x]), np.sqrt(np.array([1.0 - x * x]))),
     "PatternSamples": lambda x: pattern_on_grid(_grid(), _joint_state(x)),
     "EraserResult": lambda x: conditional_patterns(_grid(), _joint_state(x), mub_basis()),
-    "BranchPackets": lambda x: _grid()._packets(Geometry(5e-7, 1e-4, x, 1e-5)),
+    "BranchPackets": lambda x: pattern._evolve(_grid().xs(), Geometry(5e-7, 1e-4, x, 1e-5)),
 }
 
 RECORDS = {**VALUE_RECORDS, **IDENTITY_RECORDS}
@@ -98,6 +99,18 @@ def test_every_record_names_its_fields():
             assert record._values == tuple(getattr(record, f) for f in FIELDS[name])
         else:
             assert not hasattr(record, "_values")
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_hold_no_hidden_state(name):
+    # every record is slotted: what it holds is its fields (and a grid's
+    # read-only positions and weights), never a __dict__ of kept values
+    record = RECORDS[name](0.6)
+    assert not hasattr(record, "__dict__")
+    if name == "ScreenGrid":
+        assert set(type(record).__slots__) == {*FIELDS[name], "_xs", "_weights"}
+        for arr in (record.xs(), record._weights):
+            assert not arr.flags.writeable
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -158,3 +171,6 @@ def test_pickle_and_copy_keep_every_field(name):
         assert repr(twin) == repr(record)
         if name in VALUE_RECORDS:
             assert twin == record and hash(twin) == hash(record)
+        if name == "ScreenGrid":  # rebuilt, so its arrays are read-only again
+            assert twin.xs().tobytes() == record.xs().tobytes()
+            assert not (twin.xs().flags.writeable or twin._weights.flags.writeable)

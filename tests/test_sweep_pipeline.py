@@ -6,10 +6,11 @@ visibility estimator takes at most one spectrum per pattern: its
 fringe-free verdict against the which-way reference agrees with the
 all-samples residual, its block-split demodulation sum agrees with the
 direct sum, and its visibility keeps every pure detector state within the
-duality bound.  default_grid keeps the last grid it made, so duality
-reports for many detector states on one geometry evolve the packets
-once; an overlap or phase sweep also sums their moduli once, a screen_dist
-sweep once per value."""
+duality bound.  default_grid keeps the last grid it made, and the pattern
+module the last packets and their which-way sum, so duality reports for
+many detector states on one geometry evolve the packets once; an overlap
+or phase sweep also sums their moduli once, a screen_dist sweep once per
+value."""
 import json
 import math
 import warnings
@@ -165,10 +166,10 @@ def test_one_spectrum_per_fringed_pattern_and_none_per_flat_one(name):
             assert visibility > 0.0 and spectra == 1
 
 
-def _counted_sweep(tmp_path, param, values, grid):
-    """Run scan-duality over values; the packet evolutions and the which-way
-    sums it built, each sum one _combine(packets, [(w1, w2, None)]) call."""
-    default_grid.cache_clear()  # so no grid keeps the packets yet
+def _counted_sweep(uncached, tmp_path, param, values, grid):
+    """Run scan-duality over values, with no grid, packets or sum kept yet;
+    the packet evolutions and the which-way sums it built, each sum one
+    _combine(packets, [(w1, w2, None)]) call."""
     base = {"geometry": GEOMETRY, "detector": {"overlap": 0.6, "phase": 0.3}}
     if grid:
         base["grid"] = GRID
@@ -176,7 +177,8 @@ def _counted_sweep(tmp_path, param, values, grid):
     cfg.write_text(json.dumps({"base": base, "sweep_param": param, "values": values}))
     with mock.patch.object(pattern, "_evolve", wraps=pattern._evolve) as evolve, \
             mock.patch.object(pattern, "_combine", wraps=pattern._combine) as combine:
-        assert main(["scan-duality", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert uncached(main, ["scan-duality", "--config", str(cfg),
+                               "--out", str(tmp_path / "out")]) == 0
     sums = [call for call in combine.call_args_list if call.args[1][0][2] is None]
     return evolve.call_count, len(sums)
 
@@ -186,14 +188,16 @@ def _counted_sweep(tmp_path, param, values, grid):
     ("overlap", [0.0, 0.3, 0.6, 0.9, 1.0]),
     ("phase", [-3.0, -1.0, 0.2, 1.5, 3.1]),
 ])
-def test_detector_sweep_evolves_and_sums_the_packets_once(tmp_path, param, values, grid):
-    assert _counted_sweep(tmp_path, param, values, grid) == (1, 1)
+def test_detector_sweep_evolves_and_sums_the_packets_once(uncached, tmp_path, param, values,
+                                                          grid):
+    assert _counted_sweep(uncached, tmp_path, param, values, grid) == (1, 1)
 
 
 @pytest.mark.parametrize("grid", [False, True], ids=["default-grid", "configured-grid"])
-def test_screen_dist_sweep_evolves_and_sums_the_packets_once_per_value(tmp_path, grid):
+def test_screen_dist_sweep_evolves_and_sums_the_packets_once_per_value(uncached, tmp_path,
+                                                                       grid):
     values = [1.61, 1.62, 1.63, 1.64]
-    assert _counted_sweep(tmp_path, "screen_dist", values, grid) == (4, 4)
+    assert _counted_sweep(uncached, tmp_path, "screen_dist", values, grid) == (4, 4)
 
 
 SWEEP_VALUES = {
@@ -219,7 +223,8 @@ def sweeps(draw):
 
 
 def _reference(sweep, value):
-    """duality_report for one sweep value, on its own fresh grid."""
+    """duality_report for one sweep value, on its own fresh grid (called
+    with the caches emptied, so with freshly evolved packets)."""
     base = sweep["base"]
     geo = dict(base["geometry"])
     overlap, phase = base["detector"]["overlap"], base["detector"]["phase"]
@@ -239,14 +244,14 @@ def _reference(sweep, value):
 
 @settings(max_examples=60, deadline=None)
 @given(sweeps())
-def test_scan_duality_rows_are_per_value_reports(tmp_path_factory, sweep):
+def test_scan_duality_rows_are_per_value_reports(tmp_path_factory, uncached, sweep):
     tmp = tmp_path_factory.mktemp("sweep")
     cfg, out = tmp / "sweep.json", tmp / "out.csv"
     cfg.write_text(json.dumps(sweep))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # thick packets warn in Geometry
         assert main(["scan-duality", "--config", str(cfg), "--out", str(out)]) == 0
-        expected = [_reference(sweep, v) for v in sweep["values"]]
+        expected = [uncached(_reference, sweep, v) for v in sweep["values"]]
     lines = out.read_text().splitlines()
     assert lines[0].split(",") == COLUMNS
     assert len(lines) == len(expected) + 1
@@ -260,20 +265,20 @@ def test_scan_duality_rows_are_per_value_reports(tmp_path_factory, sweep):
                 assert float(cell).hex() == float(value).hex()
 
 
-def test_shared_grid_patterns_equal_fresh_grid_patterns():
+def test_shared_grid_patterns_equal_fresh_grid_patterns(uncached):
     # one grid serves several geometries and states, in an order that makes
-    # it swap its kept packets; every pattern equals one on a fresh grid
+    # the kept packets change hands; every pattern equals one on a fresh
+    # grid with freshly evolved packets
     near = Geometry(5e-7, 1e-4, 1.0, 1e-5)
     far = Geometry(5e-7, 1e-4, 2.0, 1e-5)
     shared = ScreenGrid(**GRID)
     calls = [(near, 0.3, 0.0), (near, 0.8, 1.1), (far, 0.5, -0.7), (near, 1.0, 0.2)]
     for geom, overlap, angle in calls:
         js = JointState(geom, make_detector_pair(overlap, 0.4))
-        fresh = ScreenGrid(**GRID)
         assert (_bits(pattern_on_grid(shared, js).intensity)
-                == _bits(pattern_on_grid(ScreenGrid(**GRID), js).intensity))
+                == _bits(uncached(pattern_on_grid, ScreenGrid(**GRID), js).intensity))
         got = conditional_patterns(shared, js, rotated_basis(angle))
-        ref = conditional_patterns(fresh, js, rotated_basis(angle))
+        ref = uncached(conditional_patterns, ScreenGrid(**GRID), js, rotated_basis(angle))
         for name in ("i_b", "i_b_perp", "i_sum"):
             assert _bits(getattr(got, name).intensity) == _bits(getattr(ref, name).intensity)
 
@@ -288,17 +293,16 @@ def test_default_grid_is_kept_until_other_arguments():
     assert default_grid(near) is not grid  # the cache holds one grid
 
 
-def test_duality_reports_on_one_geometry_evolve_the_packets_once():
-    # a geometry no other test uses, so no grid with its packets is kept yet
+def test_duality_reports_on_one_geometry_evolve_the_packets_once(uncached):
     geom = Geometry(5.5e-7, 1.1e-4, 1.3, 1e-5)
     pairs = [make_detector_pair(s, theta)
              for s, theta in ((0.0, 0.0), (0.3, 1.1), (0.6, 0.3), (0.9, -2.0), (1.0, 3.0))]
     with mock.patch.object(pattern, "_evolve", wraps=pattern._evolve) as evolve:
-        reports = [duality_report(geom, pair) for pair in pairs]
+        reports = uncached(lambda: [duality_report(geom, pair) for pair in pairs])
     assert evolve.call_count == 1
     kept = default_grid(geom)
     for pair, report in zip(pairs, reports):
         fresh = ScreenGrid(kept.x_min, kept.x_max, kept.n_points)
-        ref = duality_report(geom, pair, fresh)
+        ref = uncached(duality_report, geom, pair, fresh)
         for name in COLUMNS[1:]:
             assert _bits(getattr(report, name)) == _bits(getattr(ref, name))
