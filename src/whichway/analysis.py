@@ -1,16 +1,13 @@
 """Quantitative complementarity: distinguishability, visibility, duality reports.
 
-The numeric visibility estimator takes pattern samples and no geometry
-argument, but it reads the geometry the samples keep: its which-way
-reference, ``PatternSamples.which_way()``, comes from the direct route's
-packets for the samples' ``geom`` and ``path_weights``, whichever route
-made the samples.  It reads a pattern against its which-way reference: the
-same pattern with its cross term removed, which is what the screen shows
-when the detector states are orthogonal (as which-way experiments record
-it).  Their difference is
-the interference term itself, so no envelope is fitted.  A pattern that
-stays within 1e-9 of its peak from its reference is fringe-free (visibility
-0).  Otherwise the spectrum of every other sample of the weighted
+The numeric visibility estimator reads pattern samples against their
+which-way reference, ``PatternSamples.which_way()``, which the route that
+made them hands them: the same pattern with its cross term removed, which
+is what the screen shows when the detector states are orthogonal (as
+which-way experiments record it).  Their difference is the interference
+term itself, so no envelope is fitted.  A pattern that stays within 1e-9
+of its peak from its reference is fringe-free (visibility 0).  Otherwise
+the spectrum of every other sample of the weighted
 difference, zero-padded to a power of two, locates the fringe wavenumber at
 its largest interior bin, refined by a 3-point quadratic fit in k; the
 difference is demodulated there over every sample and divided by the

@@ -14,17 +14,24 @@ The packets depend only on the grid and the geometry; the detector only
 weights their moduli and their cross term, through ``JointState.path_state``,
 so patterns for many detector states on one grid and geometry evolve them
 once and combine them per state: ``_packets`` keeps the packets of the last
-grid and geometry asked for, and ``_which_way_sum`` their which-way sum
-w1 |g1|^2 + w2 |g2|^2 for the last path weights, both keyed by value like
-``default_grid``.  The direct pattern on a grid adds that sum to the cross
-term, and ``PatternSamples.which_way``, the which-way reference the
-visibility estimator reads the pattern against, is that sum doubled and
-normalized, with no second combine.  The packets' cross phase phi takes its
-cos and sin from t = tan(phi/2), as (1 - t^2)/(1 + t^2) and 2t/(1 + t^2),
-which NumPy computes several times faster than cos and sin.  The closed
-form keeps ``np.cos``: it stays an oracle derived apart from the packets,
-and its interference term keeps cos's relative accuracy at the zeros of the
-cosine, which the half-angle form does not have.
+grid and geometry asked for, keyed by value like ``default_grid``, and
+``_which_way_sum`` the which-way sum w1 |g1|^2 + w2 |g2|^2 of the last
+packets and path weights.  The direct pattern on a grid adds that sum to
+the cross term.
+
+Each route hands its samples its own which-way reference, which the
+visibility estimator reads the pattern against (``PatternSamples.which_way``):
+the closed form its normalized envelope, and the direct route and each
+eraser branch the packets they were combined from, whose which-way sum is
+doubled and normalized on request, with no second combine after a direct
+pattern.  So a V read from closed-form samples evolves no packet.
+
+The packets' cross phase phi takes its cos and sin from t = tan(phi/2), as
+(1 - t^2)/(1 + t^2) and 2t/(1 + t^2), which NumPy computes several times
+faster than cos and sin.  The closed form keeps ``np.cos``: it stays an
+oracle derived apart from the packets, and its interference term keeps
+cos's relative accuracy at the zeros of the cosine, which the half-angle
+form does not have.
 
 Each kernel call computes its constants once and runs through
 ``_blockwise``: one ``np.errstate``, the outputs and one block-sized scratch
@@ -157,37 +164,51 @@ class PatternSamples(Record, eq=False):
 
     norm_constant is the raw trapezoid integral divided out during
     normalization; the two branches of an eraser result share theirs, so
-    that the pair sums to the unconditioned pattern.  geom and path_weights
-    are the geometry and the weights of the packets' moduli |g1|^2 and
-    |g2|^2 the samples were built from; ``which_way`` builds the pattern's
-    which-way reference from them on request.
+    that the pair sums to the unconditioned pattern.  reference is what the
+    route that made the samples gives for their which-way reference: the
+    reference itself, read-only, for the closed form (its normalized
+    envelope), or (packets, w1, w2) for the direct route and each eraser
+    branch, the ``BranchPackets`` the pattern was combined from and the
+    weights of their moduli |g1|^2 and |g2|^2, summed only when
+    ``which_way`` is called.  The record sets a reference array read-only,
+    and a pickled or copied record's is read-only too.  Samples that hold
+    packets keep them alive: 256 KiB at 8192 points, shared by every
+    pattern on one grid and geometry.
     """
 
-    __slots__ = _fields = ("grid", "intensity", "norm_constant", "geom", "path_weights")
+    __slots__ = _fields = ("grid", "intensity", "norm_constant", "reference")
 
     def __init__(self, grid: ScreenGrid, intensity: np.ndarray, norm_constant: float,
-                 geom: Geometry, path_weights: tuple[float, float]):
+                 reference: np.ndarray | tuple[BranchPackets, float, float]):
+        if isinstance(reference, np.ndarray):
+            _read_only(reference)
         init_field(self, "grid", grid)
         init_field(self, "intensity", intensity)
         init_field(self, "norm_constant", norm_constant)
-        init_field(self, "geom", geom)
-        init_field(self, "path_weights", path_weights)
+        init_field(self, "reference", reference)
+
+    def __reduce__(self):
+        # rebuilt through __init__, as BranchPackets is
+        return PatternSamples, (self.grid, self.intensity, self.norm_constant, self.reference)
 
     def which_way(self) -> np.ndarray:
         """The pattern with its cross term removed, as a fresh array.
 
         It is what the screen shows when the detector states are orthogonal
-        (a perfect which-way record): the same packets with the same path
-        weights, with no interference, divided by this pattern's
-        norm_constant.  It reads ``_which_way_sum`` of the direct route's
-        packets for these path weights, whichever route made the pattern,
-        so after a direct pattern on the same grid it combines nothing.
-        Raises NumericFailure when it leaves the float range.
+        (a perfect which-way record), on this pattern's normalization, from
+        the route that made the pattern: a copy of the closed form's
+        envelope, or ``_which_way_sum`` of the kept packets doubled and
+        divided by norm_constant, so after a direct pattern on the same
+        grid it combines nothing.  Raises NumericFailure when it leaves the
+        float range.
         """
-        kept = _which_way_sum(self.grid, self.geom, *self.path_weights)
-        with np.errstate(over="ignore"):
-            ref = np.multiply(kept, 2.0)
-            ref /= self.norm_constant
+        ref = self.reference
+        if isinstance(ref, tuple):
+            with np.errstate(over="ignore"):
+                ref = np.multiply(_which_way_sum(*ref), 2.0)
+                ref /= self.norm_constant
+        else:
+            ref = ref.copy()
         if not math.isfinite(ref.max()):  # a NaN shows in the maximum too
             raise NumericFailure("the which-way reference is outside the float range")
         return ref
@@ -237,9 +258,9 @@ def default_grid(geom: Geometry, n_points: int = DEFAULT_POINTS) -> ScreenGrid:
     extraction, fine enough to satisfy the fringe-resolution guard.  A call
     that repeats the previous call's arguments returns the same grid.  The
     cache holds that one grid, its positions and weights (128 KiB at 8192
-    points), until a call with other arguments; ``_packets`` and
-    ``_which_way_sum`` keep the last packets and which-way sum (256 and
-    64 KiB) the same way, so a loop over detector states on one geometry
+    points), until a call with other arguments; ``_packets`` keeps the last
+    packets (256 KiB) the same way and ``_which_way_sum`` their last
+    which-way sum (64 KiB), so a loop over detector states on one geometry
     evolves the packets and sums their moduli once.
     Raises NumericFailure when the span or the spacing the geometry implies
     is not a normal float, and ValidationError for a bad n_points.
@@ -299,18 +320,23 @@ class BranchPackets(Record, eq=False):
 
     mod1 = |g1|^2, mod2 = |g2|^2, and cross_re, cross_im the real and
     imaginary parts of conj(g1) g2; g1 is centered at +slit_sep/2 (the branch
-    tied to detector state d1), g2 at -slit_sep/2.  All four arrays are
-    read-only.
+    tied to detector state d1), g2 at -slit_sep/2.  The record sets all four
+    arrays read-only, and a pickled or copied record's arrays are read-only
+    too.
     """
 
     __slots__ = _fields = ("mod1", "mod2", "cross_re", "cross_im")
 
     def __init__(self, mod1: np.ndarray, mod2: np.ndarray, cross_re: np.ndarray,
                  cross_im: np.ndarray):
-        init_field(self, "mod1", mod1)
-        init_field(self, "mod2", mod2)
-        init_field(self, "cross_re", cross_re)
-        init_field(self, "cross_im", cross_im)
+        init_field(self, "mod1", _read_only(mod1))
+        init_field(self, "mod2", _read_only(mod2))
+        init_field(self, "cross_re", _read_only(cross_re))
+        init_field(self, "cross_im", _read_only(cross_im))
+
+    def __reduce__(self):
+        # rebuilt through __init__, so a copy's arrays are read-only too
+        return BranchPackets, (self.mod1, self.mod2, self.cross_re, self.cross_im)
 
 
 def _packet_constants(geom: Geometry) -> tuple[float, float, float, float, float]:
@@ -376,8 +402,6 @@ def _evolve(xs: np.ndarray, geom: Geometry) -> BranchPackets:
     constants = _packet_constants(geom)
     arrays = _blockwise(lambda ins, outs, work: _write_packets(ins[0], outs, work[0], constants),
                         (xs,), 4, 1)
-    for arr in arrays:
-        arr.flags.writeable = False
     return BranchPackets(*arrays)
 
 
@@ -390,11 +414,12 @@ def _packets(grid: ScreenGrid, geom: Geometry) -> BranchPackets:
 
 
 @lru_cache(maxsize=1)
-def _which_way_sum(grid: ScreenGrid, geom: Geometry, w1: float, w2: float) -> np.ndarray:
-    """w1 |g1|^2 + w2 |g2|^2 of ``_packets(grid, geom)``, read-only.  The sum
-    for the last arguments is kept, so an overlap or phase sweep sums the
-    moduli once."""
-    return _read_only(_combine(_packets(grid, geom), [(w1, w2, None)])[0])
+def _which_way_sum(packets: BranchPackets, w1: float, w2: float) -> np.ndarray:
+    """w1 |g1|^2 + w2 |g2|^2 of packets, read-only.  The sum for the last
+    arguments is kept, keyed on the packets' identity: ``_packets`` hands
+    out one object while it keeps them, so an overlap or phase sweep sums
+    the moduli once."""
+    return _read_only(_combine(packets, [(w1, w2, None)])[0])
 
 
 def _write_combine(out, packets, state, tmp, kept_sum=None):
@@ -451,7 +476,8 @@ def intensity_direct(x, js: JointState):
     geom = js.geom
     state = js.path_state()
     if isinstance(x, ScreenGrid):
-        return _combine(_packets(x, geom), [state], _which_way_sum(x, geom, *state[:2]))[0]
+        packets = _packets(x, geom)
+        return _combine(packets, [state], _which_way_sum(packets, *state[:2]))[0]
     constants = _packet_constants(geom)
 
     def block(ins, outs, work):
@@ -617,19 +643,22 @@ def pattern_on_grid(grid: ScreenGrid, js: JointState) -> PatternSamples:
 
     Grids too coarse to resolve the fringes are rejected whenever the
     detector overlap is nonzero (aliased fringes silently corrupt visibility
-    estimates).
+    estimates).  The samples' reference is the packets the pattern was
+    combined from, with its path weights.
     """
     if js.pair.overlap_mag > 0.0:
         _check_fringe_resolution(grid, js.geom)
     intensity, total = _clamp_and_normalize(grid._weights, [intensity_direct(grid, js)])
-    return PatternSamples(grid, intensity, total, js.geom, js.path_state()[:2])
+    reference = (_packets(grid, js.geom), *js.path_state()[:2])  # the packets just combined
+    return PatternSamples(grid, intensity, total, reference)
 
 
 def closed_form_on_grid(grid: ScreenGrid,
                         js: JointState) -> tuple[PatternSamples, np.ndarray, np.ndarray]:
     """(samples, envelope, interference): the closed form's pattern on a grid,
     normalized to unit integral, and its two parts divided by the same
-    integral, from one evaluation of the closed form.
+    integral, from one evaluation of the closed form.  The envelope is
+    read-only: it is the samples' which-way reference.
 
     The grid is checked as ``pattern_on_grid`` checks it, before anything is
     evaluated.
@@ -640,7 +669,7 @@ def closed_form_on_grid(grid: ScreenGrid,
     intensity, total = _clamp_and_normalize(grid._weights, [envelope + interference])
     envelope /= total
     interference /= total
-    samples = PatternSamples(grid, intensity, total, js.geom, js.path_state()[:2])
+    samples = PatternSamples(grid, intensity, total, envelope)  # which sets it read-only
     return samples, envelope, interference
 
 
@@ -661,7 +690,7 @@ def conditional_patterns(grid: ScreenGrid, js: JointState, basis: MeasurementBas
     states = [js.path_state(b) for b in (basis.b1, basis.b2)]  # given each outcome
     i_b, i_p, total = _clamp_and_normalize(grid._weights, _combine(packets, states))
     return EraserResult(
-        i_b=PatternSamples(grid, i_b, total, js.geom, states[0][:2]),
-        i_b_perp=PatternSamples(grid, i_p, total, js.geom, states[1][:2]),
-        i_sum=PatternSamples(grid, i_b + i_p, total, js.geom, js.path_state()[:2]),
+        i_b=PatternSamples(grid, i_b, total, (packets, *states[0][:2])),
+        i_b_perp=PatternSamples(grid, i_p, total, (packets, *states[1][:2])),
+        i_sum=PatternSamples(grid, i_b + i_p, total, (packets, *js.path_state()[:2])),
     )

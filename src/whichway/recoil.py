@@ -48,9 +48,10 @@ def bohr_analysis(geom: Geometry) -> BohrReport:
     the Young fringe pitch is wavelength L / d.  Their ratio is the constant
     1/4pi for every geometry, which is the whole point: the blur is the same
     order as the pitch.  h is Planck's constant at its exact 2019 SI value.
-    Raises NumericFailure when a number overflows or the blur delta_x, the
-    smaller of the two lengths, is not a normal float, the rule ScreenGrid
-    applies to its spacing: below that, the blur has lost digits.
+    Raises NumericFailure when a number overflows, or when the blur delta_x,
+    the smaller of the two lengths, or the momentum spread delta_px is not a
+    normal float, the rule ScreenGrid applies to its spacing: below that,
+    the number has lost digits.
     """
     lam, d, dist = geom.wavelength, geom.slit_sep, geom.screen_dist
     delta_px = (PLANCK_H / lam) * (d / dist)
@@ -63,5 +64,9 @@ def bohr_analysis(geom: Geometry) -> BohrReport:
         raise NumericFailure(
             f"delta_x {delta_x!r} m is below the normal floats in recoil report "
             f"(fringe_sep {fringe_sep!r} m)"
+        )
+    if not delta_px >= SMALLEST_NORMAL:
+        raise NumericFailure(
+            f"delta_px {delta_px!r} kg m/s is below the normal floats in recoil report"
         )
     return BohrReport(delta_px=delta_px, delta_x=delta_x, fringe_sep=fringe_sep)

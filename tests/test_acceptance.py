@@ -170,10 +170,15 @@ def test_variance_identity():
         assert abs(total - 1.0) <= 1e-12
 
 
-@criterion(8, "recoil-argument report", 1.0)
-def test_bohr_report():
-    from scipy import constants
+@pytest.fixture
+def scipy_constants():
+    """SciPy's constants, an independent source of Planck's constant; the
+    test skips where SciPy is not installed, before its criterion line."""
+    return pytest.importorskip("scipy.constants")
 
+
+@criterion(8, "recoil-argument report", 1.0)
+def test_bohr_report(scipy_constants):
     rng = np.random.default_rng(8)
     for _ in range(100):
         geom = Geometry(
@@ -184,7 +189,8 @@ def test_bohr_report():
         )
         rep = bohr_analysis(geom)
         assert abs(rep.ratio - 1.0 / (4.0 * math.pi)) <= 1e-12
-        assert rep.delta_px * rep.delta_x == pytest.approx(constants.hbar / 2.0, rel=1e-13)
+        assert rep.delta_px * rep.delta_x == pytest.approx(scipy_constants.hbar / 2.0,
+                                                           rel=1e-13)
 
 
 @criterion(9, "CLI determinism and exit-code contract", 5.0)

@@ -9,7 +9,9 @@ outcome's path state, and the path states of a basis's outcomes add up to
 the unconditioned one; the in-place clamp equals the old copying one bit for bit;
 the direct pattern and its which-way reference, read from the kept
 which-way sum, equal two full combines of freshly evolved packets bit for
-bit, however one grid is reused; kernels evaluated in blocks, on 1-D or 2-D positions, equal one
+bit, however one grid is reused; the closed form's samples are read
+against their own envelope, evolve no packet, and read the direct route's
+visibility; kernels evaluated in blocks, on 1-D or 2-D positions, equal one
 evaluation over all the points bit for bit; and the visibility estimator,
 which finds the fringe lobe in a half-length, power-of-two spectrum, reads
 what one spectrum of every sample reads inside its regime, and on grids
@@ -29,10 +31,10 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from whichway import (  # noqa: E402
-    DetectorState, Geometry, JointState, MeasurementBasis, ScreenGrid, closed_form_parts,
-    conditional_patterns, default_grid, effective_tau, evolved_amplitude, fringe_width,
-    inner_product, intensity_closed_form, intensity_direct, make_detector_pair, pattern_on_grid,
-    rotated_basis,
+    DetectorState, Geometry, JointState, MeasurementBasis, ScreenGrid, closed_form_on_grid,
+    closed_form_parts, conditional_patterns, default_grid, effective_tau, evolved_amplitude,
+    fringe_width, inner_product, intensity_closed_form, intensity_direct, make_detector_pair,
+    pattern_on_grid, rotated_basis,
 )
 from whichway import analysis, numeric_visibility, pattern  # noqa: E402
 from whichway.packets import spread_sigma  # noqa: E402
@@ -154,8 +156,9 @@ def test_path_states_of_the_outcomes_add_up_to_the_unconditioned_one(s, theta, a
     for whole, parts in zip(js.path_state(), zip(*outcomes)):
         assert abs(sum(parts) - whole) <= 1e-15
     er = conditional_patterns(default_grid(geom, 128), js, basis)
-    for whole, parts in zip(er.i_sum.path_weights,
-                            zip(er.i_b.path_weights, er.i_b_perp.path_weights)):
+    # each branch's reference holds the packets and its path weights
+    for whole, parts in zip(er.i_sum.reference[1:],
+                            zip(er.i_b.reference[1:], er.i_b_perp.reference[1:])):
         assert abs(sum(parts) - whole) <= 1e-15
 
 
@@ -215,6 +218,38 @@ def test_one_grid_reused_across_geometries_and_path_weights_keeps_the_bits(uncac
             reference = conditional_patterns(shared, js, basis).i_b.which_way()
             fresh_eraser = uncached(conditional_patterns, fresh, js, basis)
             assert reference.tobytes() == fresh_eraser.i_b.which_way().tobytes()
+
+
+def test_closed_form_samples_are_read_against_their_own_envelope(uncached):
+    # reading V from the closed form's samples evolves no packet: the
+    # envelope is their reference, read-only, and which_way copies it
+    geom = Geometry(5e-7, 1e-4, 1.0, 1e-5)
+    js = JointState(geom, make_detector_pair(0.6, 0.3))
+    samples, envelope, _ = closed_form_on_grid(default_grid(geom), js)
+    with mock.patch.object(pattern, "_evolve", wraps=pattern._evolve) as evolve:
+        v = uncached(numeric_visibility, samples)
+        ref = samples.which_way()
+    assert evolve.call_count == 0
+    assert v == pytest.approx(0.6, abs=1e-2)
+    assert samples.reference is envelope and not envelope.flags.writeable
+    assert ref is not envelope and ref.flags.writeable and ref.tobytes() == envelope.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(8.0, 16.0), st.floats(0.3, 3.0), st.floats(0.05, 0.99), st.floats(0.0, 1.0),
+       st.floats(-math.pi, math.pi))
+def test_both_routes_read_one_visibility(ratio, screen_dist, weight, s, theta):
+    # V from the closed form's samples against their envelope and from the
+    # direct route's against their packets' which-way sum: two readings of
+    # one V, derived apart, on any path weights.  Each pattern's rounding
+    # against its reference leaves about 1e-17 of V whatever s, so the bound
+    # has a floor: s = 4e-7 reads 1.8e-18 apart, 4.4e-12 s
+    geom = Geometry(5e-7, 1e-4, screen_dist, 1e-4 / ratio)
+    amps = (math.sqrt(weight), math.sqrt(1.0 - weight))
+    js = JointState(geom, make_detector_pair(s, theta), amps)
+    grid = default_grid(geom)
+    closed = numeric_visibility(closed_form_on_grid(grid, js)[0])
+    assert abs(closed - numeric_visibility(pattern_on_grid(grid, js))) <= 1e-14 * s + 1e-16
 
 
 @pytest.mark.parametrize("wavelength, screen_dist", [(5e-7, 1.0), (4e-7, 0.5), (6e-7, 2.0)])

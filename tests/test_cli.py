@@ -659,6 +659,24 @@ class TestEntryPoints:
         assert proc.stderr.decode() == (f"warning: {warning}; the two packets overlap already "
                                         f"at the slits\nwrote {tmp_path / 'out'}\n")
 
+    @pytest.mark.parametrize("lambda_d, screen_dist, shown", [
+        (1e250, 1e40, "6.62607015e-314"), (1e300, 1.0, "0.0")])
+    def test_bohr_refuses_a_momentum_spread_below_the_normal_floats(self, tmp_path, lambda_d,
+                                                                    screen_dist, shown):
+        # h/lambda d/L is subnormal, or 0: it has lost its digits, as a blur
+        # delta_x below the normal floats has, and no report is written
+        geometry = {"lambda_d": lambda_d, "slit_sep": 1e10, "screen_dist": screen_dist,
+                    "packet_width": 1e-5}
+        argv = ["bohr", "--config", str(write_config(tmp_path, geometry=geometry))]
+        src = os.path.dirname(os.path.dirname(whichway.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "whichway", *argv],
+                              capture_output=True, env=env)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.decode() == (f"numeric failure: delta_px {shown} kg m/s is below the "
+                                        "normal floats in recoil report\n")
+
     def test_run_sets_up_the_process_and_main_does_not(self, tmp_path, monkeypatch, capsys):
         # run() fixes the allocator thresholds and the warning format before
         # main(); main() called from Python leaves both as they are

@@ -436,10 +436,10 @@ class TestNumericFailurePath:
         # P holds a NaN anywhere
         grid = ScreenGrid(-0.025, 0.025, 8192)
         samples = pattern_on_grid(grid, joint_state(0.6))
-        kept = pattern._which_way_sum(grid, standard_geom, *samples.path_weights)
+        kept = pattern._which_way_sum(*samples.reference)
         if bad == "overflow":
             samples = PatternSamples(samples.grid, samples.intensity, float(kept.max()) * 1e-308,
-                                     samples.geom, samples.path_weights)
+                                     samples.reference)
             assert 2.0 * float(kept.min()) / samples.norm_constant < math.inf
         else:
             kept = kept.copy()

@@ -21,6 +21,7 @@ from whichway import (
     JointState,
     ScreenGrid,
     bohr_analysis,
+    closed_form_on_grid,
     conditional_patterns,
     default_grid,
     duality_report,
@@ -81,7 +82,7 @@ FIELDS = {
     "DualityReport": ("D", "V_bound", "V_numeric", "dP2", "dQ2", "lhs", "rhs_unc", "egy_ok",
                       "unc_ok"),
     "DetectorStates": ("c1", "c2"),
-    "PatternSamples": ("grid", "intensity", "norm_constant", "geom", "path_weights"),
+    "PatternSamples": ("grid", "intensity", "norm_constant", "reference"),
     "EraserResult": ("i_b", "i_b_perp", "i_sum"),
     "BranchPackets": ("mod1", "mod2", "cross_re", "cross_im"),
 }
@@ -174,3 +175,19 @@ def test_pickle_and_copy_keep_every_field(name):
         if name == "ScreenGrid":  # rebuilt, so its arrays are read-only again
             assert twin.xs().tobytes() == record.xs().tobytes()
             assert not (twin.xs().flags.writeable or twin._weights.flags.writeable)
+        # packets are rebuilt too, alone or as a direct pattern's reference
+        if name in ("BranchPackets", "PatternSamples"):
+            packets, kept = ((twin, record) if name == "BranchPackets"
+                             else (twin.reference[0], record.reference[0]))
+            for field in FIELDS["BranchPackets"]:
+                arr = getattr(packets, field)
+                assert arr.tobytes() == getattr(kept, field).tobytes()
+                assert not arr.flags.writeable
+
+
+def test_a_copied_closed_form_reference_stays_read_only():
+    samples = closed_form_on_grid(_grid(), _joint_state(0.6))[0]
+    for twin in (pickle.loads(pickle.dumps(samples)), copy.copy(samples),
+                 copy.deepcopy(samples)):
+        assert twin.reference.tobytes() == samples.reference.tobytes()
+        assert not twin.reference.flags.writeable

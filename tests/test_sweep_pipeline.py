@@ -56,7 +56,7 @@ def test_envelope_fit_holds_float_range_intensities(overlap):
     residual = oscillatory_residual(samples)
     for k in (-900, -200, 200, 996):
         scaled = PatternSamples(samples.grid, samples.intensity * 2.0**k, samples.norm_constant,
-                                samples.geom, samples.path_weights)
+                                samples.reference)
         assert oscillatory_residual(scaled) == residual
     assert float(scaled.intensity.max()) > 1e300
 
@@ -71,8 +71,7 @@ def test_envelope_fit_warns_below_five_fitted_samples(count):
                               JointState(geom, make_detector_pair(0.6, 0.3)))
     ys = np.full(64, 1e-13 * float(samples.intensity.max()))
     ys[20:20 + count] = samples.intensity[20:20 + count]
-    sparse = PatternSamples(samples.grid, ys, samples.norm_constant, samples.geom,
-                            samples.path_weights)
+    sparse = PatternSamples(samples.grid, ys, samples.norm_constant, samples.reference)
     if count < 5:
         with pytest.warns(np.exceptions.RankWarning):
             residual = oscillatory_residual(sparse)

@@ -344,7 +344,9 @@ def _api_grid(rng: random.Random, geom):
 
 
 def _samples_parts(samples) -> list:
-    return [samples.intensity, samples.norm_constant, samples.path_weights]
+    """What samples of every tree have: the intensity, the normalization and
+    the which-way reference."""
+    return [samples.intensity, samples.norm_constant, samples.which_way()]
 
 
 def _api_pattern(rng: random.Random) -> list:
@@ -357,9 +359,9 @@ def _api_pattern(rng: random.Random) -> list:
     parts = [repr(js), js.path_state(), js.path_state(basis.b1), js.path_state(basis.b2)]
     grid = _api_grid(rng, js.geom)
     direct = pattern_on_grid(grid, js)
-    parts += _samples_parts(direct) + [direct.which_way(), numeric_visibility(direct)]
+    parts += _samples_parts(direct) + [numeric_visibility(direct)]
     closed, envelope, interference = closed_form_on_grid(grid, js)
-    return parts + _samples_parts(closed) + [envelope, interference, closed.which_way()]
+    return parts + _samples_parts(closed) + [envelope, interference, numeric_visibility(closed)]
 
 
 def _api_positions(rng: random.Random) -> list:
@@ -387,7 +389,7 @@ def _api_eraser(rng: random.Random) -> list:
     basis = mub_basis() if rng.random() < 0.3 else rotated_basis(rng.uniform(0.0, math.pi))
     er = conditional_patterns(_api_grid(rng, js.geom), js, basis)
     return [*_samples_parts(er.i_b), *_samples_parts(er.i_b_perp), *_samples_parts(er.i_sum),
-            er.i_b.which_way(), er.i_b_perp.which_way(), eraser_branch_visibilities(er)]
+            eraser_branch_visibilities(er)]
 
 
 def _api_observable(rng: random.Random) -> list:
@@ -442,7 +444,7 @@ def _invalid_constructions() -> tuple:
         lambda: w.DualityReport(D=1.0, V_bound=0.0, V_numeric=0.0, dP2=0.0, dQ2=0.0,
                                 lhs=1.0, rhs_unc=2.0),
         lambda: w.DualityReport(1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, egy_ok=True),
-        lambda: w.PatternSamples(None, None, 1.0, geom),
+        lambda: w.PatternSamples(None, None, 1.0, None, weights=(0.5, 0.5)),
         lambda: w.EraserResult(None, None),
         lambda: BranchPackets(None, None, None, None, None),
     )
