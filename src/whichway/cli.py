@@ -408,9 +408,10 @@ def _keep_freed_memory():
     OS and faulted in again on the next value depends on heap layout.
     Fixed thresholds keep it in the heap.  Measured on x86-64 Linux with
     the benchmark's inputs (medians of 5 alternating runs), the setting
-    pays on configured grids above _BLOCK points: a cold 700-value
-    screen_dist sweep on 20000 points took 5.4k minor faults and 1.19 s of
-    CPU time with it, against 104.5k and 1.80 s without.  On the default
+    pays on configured grids larger than the default: a cold 700-value
+    screen_dist sweep on 20000 points took 5.6k minor faults and 0.78 s of
+    CPU time with it, against 109.8k and 1.01 s without, and on 12000
+    points 5.4k and 0.57 s against 43.1k and 0.61 s.  On the default
     8192-point grid the same cold sweep takes about 5.0k faults either way;
     run in a process that had imported NumPy and the kernels first, it took
     0.3k to 0.4k faults with the setting and 51k to 56k without.  Other C

@@ -70,7 +70,12 @@ CLAMP_FLOOR = -1e-15
 _SQRT_HALF = math.sqrt(0.5)
 #: Points per block of the elementwise kernels: a call's one block-sized
 #: scratch stays in cache, so no kernel call makes a grid-sized temporary.
-_BLOCK = 8192
+#: At 16384 points the direct route's live block arrays (four
+#: packet rows, one scratch row, the positions and the output, 7 x 128 KiB
+#: = 896 KiB) fit a 2 MiB per-core L2 cache, and its traced peak on 2^18
+#: points, 1.31 times the positions, stays under the 1.5 that
+#: ``TestBlockedKernelMemory`` allows (1.46 at 24576 points, 1.63 at 32768).
+_BLOCK = 16384
 
 
 class ScreenGrid(Record):

@@ -60,6 +60,9 @@ bases = st.builds(
 )
 
 POINTS = 2048
+#: Enough points to cross two or more kernel block boundaries into a
+#: shorter last block.
+PAST_BLOCKS = 3 * pattern._BLOCK + 5
 
 
 def _packets(xs, geom):
@@ -87,12 +90,12 @@ def test_direct_matches_closed_form_on_positions(geom, pair, amps):
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.tuples(geometries, pairs, unequal_amps), min_size=2, max_size=4),
-       st.sampled_from([POINTS, 3 * 8192 + 5]))
+       st.sampled_from([POINTS, PAST_BLOCKS]))
 def test_direct_matches_closed_form_on_one_kept_grid(calls, n_points):
     # one grid serves every geometry, and the first comes back at the end,
     # so the kept packets change hands at least twice; on the longer grid
     # the positions route evolves each block in one reused scratch, across
-    # two block boundaries and a partial last block
+    # block boundaries into a shorter last block
     grid = default_grid(calls[0][0], n_points)
     for geom, pair, amps in calls + calls[:1]:
         js = JointState(geom, pair, amps)
@@ -193,7 +196,7 @@ def _kept_sum_bits(grid, js):
 
 @pytest.mark.filterwarnings("ignore:slit_sep:UserWarning")
 @settings(max_examples=80, deadline=None)
-@given(schema_geometries, pairs, any_amps, st.sampled_from([128, POINTS, 3 * 8192 + 5]))
+@given(schema_geometries, pairs, any_amps, st.sampled_from([128, POINTS, PAST_BLOCKS]))
 def test_kept_which_way_sum_gives_the_bits_of_two_combines(geom, pair, amps, n_points):
     js = JointState(geom, pair, amps)
     grid = default_grid.__wrapped__(geom, n_points)
@@ -289,7 +292,7 @@ FAR = 2.0**598  # scale for phases past 1e150, so that (x -+ 1)^2 stays finite
 @pytest.mark.parametrize("phases, scale", [
     ([0.0, -0.0, 5e-324, math.pi / 2, -math.pi / 2, math.pi, -math.pi, 1e5, 1e15], 0.25),
     ([1e300, -1e300], FAR),
-    (np.random.default_rng(14).uniform(-1e4, 1e4, 3 * 8192 + 5), 0.25),
+    (np.random.default_rng(14).uniform(-1e4, 1e4, PAST_BLOCKS), 0.25),
 ], ids=["special", "huge", "spread"])
 def test_half_angle_form_matches_cos_and_sin(phases, scale):
     kept = _unit_packets(np.divide(phases, 4.0 * scale), scale)
@@ -379,7 +382,8 @@ def _kernel_bytes(js, basis, xs, n_points):
 
 
 @pytest.mark.parametrize("shuffled", [False, True])
-@pytest.mark.parametrize("n_points", [1, 2, 8191, 8192, 8193, 3 * 8192 + 5])
+@pytest.mark.parametrize("n_points", [1, 2, pattern._BLOCK - 1, pattern._BLOCK,
+                                      pattern._BLOCK + 1, PAST_BLOCKS])
 @settings(max_examples=6, deadline=None)
 @given(geometries, pairs, unequal_amps, bases)
 def test_blocks_are_bit_identical_to_one_block(n_points, shuffled, geom, pair, amps, basis):

@@ -288,7 +288,8 @@ class TestPatternOnGrid:
 class TestClosedFormOnGrid:
     @pytest.mark.parametrize("grid, calls", [
         (None, 1),  # the default grid, one block
-        ({"x_min": -0.025, "x_max": 0.025, "n_points": 20000}, 3),  # three blocks
+        # ceil(20000 / _BLOCK) blocks
+        ({"x_min": -0.025, "x_max": 0.025, "n_points": 20000}, -(-20000 // pattern._BLOCK)),
     ])
     def test_pattern_evaluates_the_closed_form_once(self, tmp_path, standard_geom, joint_state,
                                                     grid, calls):

@@ -7,8 +7,9 @@ temporary directory, which is removed afterwards.  ``--n`` seeded configs
 are drawn for every subcommand (``pattern``, ``eraser``, ``bohr``,
 ``uncertainty-scan``, ``scan-duality`` over all four sweep parameters):
 in-range, overlapping-packet and float-range geometries, the default grid
-and configured grids (odd point counts and grids too coarse to resolve the
-fringes included), csv and json by flag or config, ``--out`` and stdout,
+and configured grids (odd point counts, grids past one and several kernel
+blocks of 8192 or 16384 points, and grids too coarse to resolve the fringes
+included), csv and json by flag or config, ``--out`` and stdout,
 and bad ``--samples``.  Each config runs once in each tree as a fresh
 ``python -m whichway`` process with that tree's ``src`` on ``PYTHONPATH``,
 in a fresh working directory, so the argv is the same byte for byte.
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import csv
 import hashlib
 import io
@@ -55,7 +57,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("scan-duality", "pattern", "eraser", "bohr", "uncertainty-scan")
 SWEEP_PARAMS = ("overlap", "phase", "packet_width", "screen_dist")
-POINT_COUNTS = (64, 128, 1000, 4096, 4097, 8192, 8193, 16385)
+#: Configured grid sizes: odd and even, one kernel block and past it, for
+#: kernel blocks of 8192 points and of 16384.
+POINT_COUNTS = (64, 128, 1000, 4096, 4097, 8192, 8193, 16384, 16385, 20000, 3 * 16384 + 5)
 
 
 @dataclass(frozen=True)
@@ -366,13 +370,14 @@ def _api_pattern(rng: random.Random) -> list:
 
 def _api_positions(rng: random.Random) -> list:
     """Both intensity routes and the closed form's parts at positions, one
-    and many, past one kernel block too, and across two block boundaries
-    into a partial last block."""
+    and many, in one kernel block and past it, and across two or more block
+    boundaries into a shorter last block, for blocks of 8192 points and of
+    16384."""
     from whichway import closed_form_parts, fringe_width, intensity_closed_form, intensity_direct
 
     js = _api_joint_state(rng)
     half = rng.uniform(1.0, 8.0) * fringe_width(js.geom)
-    count = rng.choice((1, 7, 1000, 9000, 3 * 8192 + 5))
+    count = rng.choice((1, 7, 1000, 9000, 3 * 8192 + 5, 16384, 20000, 3 * 16384 + 5))
     xs = np.array([rng.uniform(-half, half) for _ in range(count)])
     x = xs[0].item()
     return [intensity_direct(xs, js), intensity_closed_form(xs, js), *closed_form_parts(xs, js),
@@ -525,6 +530,23 @@ def compare_api(base_tree: Path, head_tree: Path, n: int, seed: int, report=prin
     return sum(differing.values())
 
 
+@contextlib.contextmanager
+def base_checkout(rev: str):
+    """rev checked out with ``git worktree add --detach`` into a temporary
+    directory, which is removed on exit."""
+    with tempfile.TemporaryDirectory(prefix="compare-base-") as tmp:
+        checkout = Path(tmp, "base")
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                        str(checkout), rev], check=True)
+        try:
+            yield checkout
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
+                            str(checkout)], check=False)
+            shutil.rmtree(checkout, ignore_errors=True)
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], check=False)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the commit to compare against")
@@ -533,17 +555,8 @@ def main(argv=None) -> int:
     parser.add_argument("--api", action="store_true",
                         help="compare seeded API cases instead of CLI runs")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="compare-base-") as tmp:
-        checkout = Path(tmp, "base")
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
-                        str(checkout), args.base], check=True)
-        try:
-            differing = (compare_api if args.api else compare)(checkout, ROOT, args.n, 0)
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                            str(checkout)], check=False)
-            shutil.rmtree(checkout, ignore_errors=True)
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], check=False)
+    with base_checkout(args.base) as checkout:
+        differing = (compare_api if args.api else compare)(checkout, ROOT, args.n, 0)
     return 1 if differing else 0
 
 
