@@ -1,8 +1,15 @@
 """Command-line interface: config ingestion, runs and sweeps, CSV/JSON emission.
 
-Exit codes: 0 success, 1 configuration/validation problem, 2 numeric failure.
-Output bytes are a deterministic function of the config (floats serialized
-with 17 significant digits; run chatter goes to stderr).
+Exit codes: 0 success, 1 configuration/validation problem or a stdout that
+cannot be written, 2 numeric failure.  Output bytes are a deterministic
+function of the config (floats serialized with 17 significant digits; run
+chatter goes to stderr).
+
+``run``, the entry point of the script and of ``python -m whichway``, also
+sets up the process around ``main``: glibc's allocator thresholds and the
+one-line warning format before it, and after it the flush of stdout and
+``gc.freeze()``, so that the interpreter's shutdown collections skip the
+job's objects.  ``main`` called from Python leaves all of these as they are.
 
 Every job is a fresh process, so this module imports at load only the
 standard library, the config schema, the record base, ``Geometry`` and the
@@ -14,6 +21,7 @@ module (``cli.duality_report`` is ``analysis.duality_report``).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -435,10 +443,42 @@ def _warning_line(message, category, filename, lineno, line=None):
     return f"warning: {message}\n"
 
 
+def _skip_exit_collection():
+    """Freeze every object the process holds, so that the collections of the
+    interpreter's shutdown skip them.
+
+    Once NumPy is loaded a job holds about 21.7k objects the cyclic collector
+    tracks (a ``bohr`` job 12.5k), and finalization collects over all of them.
+    Frozen, cold ``pattern`` and ``bohr`` jobs took 153 and 59 ms of wall
+    time, against 174 and 68 ms (medians of 9 alternating runs on one pinned
+    CPU, x86-64 Linux, Python 3.11.7).  The ``atexit`` hooks and the
+    shutdown flush of stdio still run.
+    """
+    gc.freeze()
+
+
 def run():
     """Console-script and ``python -m whichway`` entry point: it sets up the
-    process (the allocator thresholds and the warning format), then runs
-    ``main``, which leaves both as they are when called from Python."""
+    process (the allocator thresholds and the warning format), runs
+    ``main``, flushes stdout and freezes the collector before it exits.
+    ``main`` called from Python leaves all of these as they are.
+
+    Buffered stdout is written at the latest by that flush.  A stdout that
+    cannot be written there (``> /dev/full``, a closed pipe) is a config
+    error, exit 1, and fd 1 then points at the null device, so that the
+    shutdown flush does not fail a second time and exit 120.
+    """
     _keep_freed_memory()
     warnings.formatwarning = _warning_line
-    raise SystemExit(main())
+    code = main()
+    try:
+        if sys.stdout is not None:  # None when the process starts with fd 1 closed
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        code = 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    _skip_exit_collection()
+    raise SystemExit(code)

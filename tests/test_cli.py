@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -60,6 +61,13 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def _child_env():
+    """The environment of a child interpreter that imports whichway from this tree."""
+    src = os.path.dirname(os.path.dirname(whichway.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def read_csv(path):
@@ -626,11 +634,8 @@ class TestEntryPoints:
             values = [0.5, 1.0, 2.0] if param == "screen_dist" else [0.0, 0.4, 1.0]
             argv = ["scan-duality", "--config", str(cfg)]
             cfg.write_text(json.dumps({"base": run, "sweep_param": param, "values": values}))
-        src = os.path.dirname(os.path.dirname(whichway.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "whichway", *argv],
-                              capture_output=True, env=env)
+                              capture_output=True, env=_child_env())
         code = main(argv)
         captured = capsys.readouterr()
         assert (proc.returncode, proc.stderr) == (code, captured.err.encode()) == (0, b"")
@@ -650,11 +655,8 @@ class TestEntryPoints:
             (tmp_path / "sweep.json").write_text(json.dumps({
                 "base": base, "sweep_param": "packet_width", "values": [2.6e-5, 2.6e-5]}))
             warning = "slit_sep = 0.0001 m is within 4 packet widths (2.6e-05 m)"
-        src = os.path.dirname(os.path.dirname(whichway.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "whichway", *argv, "--out",
-                               str(tmp_path / "out")], capture_output=True, env=env)
+                               str(tmp_path / "out")], capture_output=True, env=_child_env())
         assert proc.returncode == 0
         assert proc.stderr.decode() == (f"warning: {warning}; the two packets overlap already "
                                         f"at the slits\nwrote {tmp_path / 'out'}\n")
@@ -668,33 +670,90 @@ class TestEntryPoints:
         geometry = {"lambda_d": lambda_d, "slit_sep": 1e10, "screen_dist": screen_dist,
                     "packet_width": 1e-5}
         argv = ["bohr", "--config", str(write_config(tmp_path, geometry=geometry))]
-        src = os.path.dirname(os.path.dirname(whichway.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "whichway", *argv],
-                              capture_output=True, env=env)
+                              capture_output=True, env=_child_env())
         assert (proc.returncode, proc.stdout) == (2, b"")
         assert proc.stderr.decode() == (f"numeric failure: delta_px {shown} kg m/s is below the "
                                         "normal floats in recoil report\n")
 
     def test_run_sets_up_the_process_and_main_does_not(self, tmp_path, monkeypatch, capsys):
         # run() fixes the allocator thresholds and the warning format before
-        # main(); main() called from Python leaves both as they are
+        # main() and freezes the collector after it returns; main() called
+        # from Python leaves all three as they are.  The freeze is replaced,
+        # so that none of pytest's objects are frozen.
         from whichway import cli
 
         setup = []
         monkeypatch.setattr(cli, "_keep_freed_memory", lambda: setup.append("allocator"))
+        monkeypatch.setattr(cli, "_skip_exit_collection", lambda: setup.append("freeze"))
         monkeypatch.setattr(cli, "warnings", types.SimpleNamespace())
         argv = ["bohr", "--config", str(write_config(tmp_path))]
         assert main(argv) == 0
         assert setup == [] and vars(cli.warnings) == {}
+
+        def main_then_note():
+            code = main()
+            setup.append("main returned")
+            return code
+
+        monkeypatch.setattr(cli, "main", main_then_note)
         monkeypatch.setattr(sys, "argv", ["whichway", *argv])
         with pytest.raises(SystemExit) as exit_info:
             cli.run()
         assert exit_info.value.code == 0
-        assert setup == ["allocator"]
+        assert setup == ["allocator", "main returned", "freeze"]
         assert vars(cli.warnings) == {"formatwarning": cli._warning_line}
         assert capsys.readouterr().out.startswith('{"delta_px": ')
+
+    @pytest.mark.parametrize("config, code", [("config.json", 0), ("missing.json", 1)])
+    def test_atexit_hooks_run_after_the_freeze(self, tmp_path, config, code):
+        # the freeze is the last thing run() does: an atexit hook still runs,
+        # and finds the job's objects frozen, whether the job failed or not
+        write_config(tmp_path)
+        probe = ("import atexit, gc, sys\n"
+                 "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, "
+                 "file=sys.stderr))\n"
+                 "from whichway.cli import run\n"
+                 "run()\n")
+        proc = subprocess.run([sys.executable, "-c", probe, "bohr", "--config",
+                               str(tmp_path / config)], capture_output=True, env=_child_env())
+        assert proc.returncode == code
+        assert proc.stderr.decode().endswith("frozen True\n")
+        assert proc.stdout.startswith(b'{"delta_px": ') == (code == 0)
+
+    @pytest.mark.parametrize("job", ["bohr", "pattern"])
+    @pytest.mark.parametrize("target", ["/dev/full", "closed pipe"])
+    def test_a_stdout_that_cannot_be_written_is_a_config_error(self, tmp_path, job, target):
+        # with stdout buffered, bohr's few bytes are written only at exit,
+        # where a failed write used to print "Exception ignored" and exit 120;
+        # pattern's output fails already in main().  Either way one line, exit 1.
+        env = _child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        argv = [sys.executable, "-m", "whichway", job, "--config", str(write_config(tmp_path))]
+        if target == "/dev/full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            with open("/dev/full", "wb") as full:
+                proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env)
+        else:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env)
+            finally:
+                os.close(write_end)
+        assert proc.returncode == 1
+        assert re.fullmatch(r"config error: \[Errno \d+\] [^\n]*\n", proc.stderr.decode())
+
+    def test_a_job_that_writes_a_file_runs_with_fd_1_closed(self, tmp_path):
+        # sys.stdout is None then: run() has no stdout to flush
+        out = tmp_path / "out.json"
+        proc = subprocess.run([sys.executable, "-m", "whichway", "bohr", "--config",
+                               str(write_config(tmp_path)), "--out", str(out)],
+                              stderr=subprocess.PIPE, env=_child_env(),
+                              preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr.decode()) == (0, f"wrote {out}\n")
+        assert out.read_text().startswith('{"delta_px": ')
 
     def test_subcommand_help(self):
         for name in ("pattern", "scan-duality", "eraser", "uncertainty-scan", "bohr"):
