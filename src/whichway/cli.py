@@ -1,9 +1,10 @@
 """Command-line interface: config ingestion, runs and sweeps, CSV/JSON emission.
 
 Exit codes: 0 success, 1 configuration/validation problem or a stdout that
-cannot be written, 2 numeric failure.  Output bytes are a deterministic
-function of the config (floats serialized with 17 significant digits; run
-chatter goes to stderr).
+cannot be written, 2 numeric failure; a stderr that cannot be written
+changes none of them.  Output bytes are a deterministic function of the
+config (floats serialized with 17 significant digits; run chatter goes to
+stderr).
 
 ``run``, the entry point of the script and of ``python -m whichway``, also
 sets up the process around ``main``: glibc's allocator thresholds and the
@@ -15,8 +16,9 @@ Every job is a fresh process, so this module imports at load only the
 standard library, the config schema, the record base, ``Geometry`` and the
 recoil report, and each subcommand imports the modules it computes with
 when it runs (``tests/test_import_floor.py`` pins which; no job imports
-``dataclasses``).  The package's public names still read through this
-module (``cli.duality_report`` is ``analysis.duality_report``).
+``dataclasses`` or ``importlib.resources``).  The package's public names
+still read through this module (``cli.duality_report`` is
+``analysis.duality_report``).
 """
 from __future__ import annotations
 
@@ -28,17 +30,12 @@ import os
 import sys
 import warnings
 from contextlib import contextmanager
-from importlib import resources
-from typing import TYPE_CHECKING
 
 from ._record import Record, init_field
 from ._schema import schema_error
 from .errors import NumericFailure, ValidationError
 from .packets import Geometry, grid_points
 from .recoil import bohr_analysis
-
-if TYPE_CHECKING:
-    from .qubit import DetectorPair
 
 
 def __getattr__(name):
@@ -50,8 +47,10 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+# read through the package's loader, as pkgutil.get_data reads, so that a
+# zipped package reads it too
 _SCHEMA = json.loads(
-    resources.files("whichway").joinpath("config_schema.json").read_text(encoding="utf-8")
+    __spec__.loader.get_data(os.path.join(os.path.dirname(__file__), "config_schema.json"))
 )
 # same $defs, different entry point
 _SWEEP_SCHEMA = {**_SCHEMA, "$ref": "#/$defs/sweep"}
@@ -100,6 +99,16 @@ def _emit_json(fields: dict) -> str:
     return "{" + ", ".join(f"{json.dumps(k)}: {render(v)}" for k, v in fields.items()) + "}\n"
 
 
+def _note(line: str):
+    """Print one line to stderr, if it can be written: a stderr that is
+    closed (sys.stderr None) or fails (``2> /dev/full``) changes no exit code."""
+    if sys.stderr is not None:  # print would write to stdout
+        try:
+            print(line, file=sys.stderr)
+        except OSError:
+            pass
+
+
 def _write_output(text: str, path: str | None):
     if path is None:
         sys.stdout.write(text)
@@ -125,7 +134,7 @@ def _write_output(text: str, path: str | None):
         except BaseException:
             os.unlink(tmp)
             raise
-    print(f"wrote {path}", file=sys.stderr)
+    _note(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +384,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _note(f"usage error: {exc}")
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
@@ -394,14 +403,14 @@ def main(argv=None) -> int:
         _write_output(text, args.out or out_path)
         return 0
     except (ValidationError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        _note(f"config error: {exc}")
         return 1
     except MemoryError as exc:
         # the grid or lattice the config asks for is too large
-        print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        _note(f"config error: {str(exc) or 'out of memory'}")
         return 1
     except NumericFailure as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+        _note(f"numeric failure: {exc}")
         return 2
 
 
@@ -457,28 +466,43 @@ def _skip_exit_collection():
     gc.freeze()
 
 
+def _flush_or_drop(stream) -> OSError | None:
+    """Flush ``stream``, and return the error if that fails; its file
+    descriptor then points at the null device, so that the interpreter's
+    shutdown flush of the bytes still buffered does not fail a second time
+    and make the exit code 120."""
+    try:
+        stream.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        return exc
+    return None
+
+
 def run():
     """Console-script and ``python -m whichway`` entry point: it sets up the
     process (the allocator thresholds and the warning format), runs
-    ``main``, flushes stdout and freezes the collector before it exits.
-    ``main`` called from Python leaves all of these as they are.
+    ``main``, flushes stdout and stderr and freezes the collector before it
+    exits.  ``main`` called from Python leaves all of these as they are.
 
     Buffered stdout is written at the latest by that flush.  A stdout that
     cannot be written there (``> /dev/full``, a closed pipe) is a config
-    error, exit 1, and fd 1 then points at the null device, so that the
-    shutdown flush does not fail a second time and exit 120.
+    error, exit 1.  A stderr that cannot be written (``2> /dev/full``)
+    changes no exit code: ``_note`` ignores the failed line, and this flush
+    drops the bytes it left in the buffer.
     """
     _keep_freed_memory()
     warnings.formatwarning = _warning_line
     code = main()
-    try:
-        if sys.stdout is not None:  # None when the process starts with fd 1 closed
-            sys.stdout.flush()
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        code = 1
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    # each is None when the process starts with its fd closed
+    if sys.stdout is not None:
+        exc = _flush_or_drop(sys.stdout)
+        if exc is not None:
+            _note(f"config error: {exc}")
+            code = 1
+    if sys.stderr is not None:
+        _flush_or_drop(sys.stderr)
     _skip_exit_collection()
     raise SystemExit(code)

@@ -62,9 +62,10 @@ from .packets import (
 )
 from .qubit import DetectorPair, DetectorState, MeasurementBasis, inner_product
 
-#: Raw intensities in [CLAMP_FLOOR m, 0), m the larger of 1 and the largest
-#: raw value, are rounding residue and are clamped to 0; anything below is a
-#: numeric failure, not noise.
+#: Raw intensities in [CLAMP_FLOOR m, 0), m the largest of 1, the largest
+#: raw value and the largest value of the which-way sum whose terms cancel
+#: at a dark fringe, are rounding residue and are clamped to 0; anything
+#: below is a numeric failure, not noise.
 CLAMP_FLOOR = -1e-15
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -607,29 +608,37 @@ def _check_fringe_resolution(grid: ScreenGrid, geom: Geometry):
         )
 
 
-def _clamp_and_normalize(weights: np.ndarray, branches):
+def _clamp_and_normalize(weights: np.ndarray, branches, which_way=None):
     """Clamp rounding residue and normalize to unit integral, in place.
 
     Each branch is an unnormalized intensity on the grid whose trapezoid
     weights are ``weights``.  Negative values are rounding residue and are
-    set to 0 down to the floor CLAMP_FLOOR m, where m is the larger of 1 and
-    the largest raw value of any branch: the residue scales with the values
-    that cancel.  Non-finite values or anything below the floor raise
-    NumericFailure.  Every branch is divided by the trapezoid integral of the
-    branches' sum.  The branches are changed in place, so callers pass arrays
-    of their own.  Returns them in order, then that integral.
+    set to 0 down to the floor CLAMP_FLOOR m, where m is the largest of 1,
+    the largest raw value of any branch and ``which_way()``: the residue
+    scales with the values that cancel.  which_way, if given, returns the
+    largest value of the which-way sum as the raw branches hold it, the
+    terms whose cancellation at a dark fringe leaves the residue; it is
+    called only when a value is below the floor of the other two.
+    Non-finite values or anything below the floor raise NumericFailure.
+    Every branch is divided by the trapezoid integral of the branches' sum.
+    The branches are changed in place, so callers pass arrays of their own.
+    Returns them in order, then that integral.
     """
+    scale = None
     for raw in branches:
         # NaN and -inf show in the minimum, +inf in the maximum
         low = raw.min()
         if not (math.isfinite(low) and math.isfinite(raw.max())):
             raise NumericFailure("non-finite intensity values on the grid")
         if low < CLAMP_FLOOR:
-            # the relative floor needs the largest value of all the branches
-            floor = CLAMP_FLOOR * max(1.0, *(float(b.max()) for b in branches))
-            if low < floor:
+            if scale is None:
+                # the relative floor needs the largest value of all the branches
+                scale = max(1.0, *(float(b.max()) for b in branches))
+            if low < CLAMP_FLOOR * scale and which_way is not None:
+                scale = max(scale, which_way())
+            if low < CLAMP_FLOOR * scale:
                 raise NumericFailure(
-                    f"intensity {float(low)!r} below the clamp floor {floor!r}; "
+                    f"intensity {float(low)!r} below the clamp floor {CLAMP_FLOOR * scale!r}; "
                     "this is a bug, not rounding"
                 )
         if low < 0.0:  # -0.0 is not below 0 and stays
@@ -653,8 +662,10 @@ def pattern_on_grid(grid: ScreenGrid, js: JointState) -> PatternSamples:
     """
     if js.pair.overlap_mag > 0.0:
         _check_fringe_resolution(grid, js.geom)
-    intensity, total = _clamp_and_normalize(grid._weights, [intensity_direct(grid, js)])
+    raw = intensity_direct(grid, js)
     reference = (_packets(grid, js.geom), *js.path_state()[:2])  # the packets just combined
+    intensity, total = _clamp_and_normalize(grid._weights, [raw],
+                                            lambda: 2.0 * float(_which_way_sum(*reference).max()))
     return PatternSamples(grid, intensity, total, reference)
 
 
@@ -671,7 +682,8 @@ def closed_form_on_grid(grid: ScreenGrid,
     if js.pair.overlap_mag > 0.0:
         _check_fringe_resolution(grid, js.geom)
     envelope, interference = closed_form_parts(grid.xs(), js)
-    intensity, total = _clamp_and_normalize(grid._weights, [envelope + interference])
+    intensity, total = _clamp_and_normalize(grid._weights, [envelope + interference],
+                                            lambda: float(envelope.max()))
     envelope /= total
     interference /= total
     samples = PatternSamples(grid, intensity, total, envelope)  # which sets it read-only
@@ -693,9 +705,13 @@ def conditional_patterns(grid: ScreenGrid, js: JointState, basis: MeasurementBas
     _check_fringe_resolution(grid, js.geom)
     packets = _packets(grid, js.geom)
     states = [js.path_state(b) for b in (basis.b1, basis.b2)]  # given each outcome
-    i_b, i_p, total = _clamp_and_normalize(grid._weights, _combine(packets, states))
+    # each branch's which-way sum is at most the unconditioned one, w_j(b) <= w_j
+    unconditioned = (packets, *js.path_state()[:2])
+    i_b, i_p, total = _clamp_and_normalize(
+        grid._weights, _combine(packets, states),
+        lambda: 2.0 * float(_which_way_sum(*unconditioned).max()))
     return EraserResult(
         i_b=PatternSamples(grid, i_b, total, (packets, *states[0][:2])),
         i_b_perp=PatternSamples(grid, i_p, total, (packets, *states[1][:2])),
-        i_sum=PatternSamples(grid, i_b + i_p, total, (packets, *js.path_state()[:2])),
+        i_sum=PatternSamples(grid, i_b + i_p, total, unconditioned),
     )

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import types
+import zipfile
 
 import numpy as np
 import pytest
@@ -270,6 +271,44 @@ class TestPattern:
         assert main(["scan-duality", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == "numeric failure: the which-way reference is outside the float range\n"
+        assert not out.exists()
+
+    @staticmethod
+    def dark_fringe_config(tmp_path, command, half_span, n_points):
+        """A config for s 1, theta pi on a grid centred on the dark fringe."""
+        run = {"geometry": dict(STANDARD_GEOMETRY), "detector": {"overlap": 1.0, "phase": math.pi},
+               "grid": {"x_min": -half_span, "x_max": half_span, "n_points": n_points}}
+        if command == "scan-duality":
+            run = {"base": run, "sweep_param": "overlap", "values": [1.0]}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(run))
+        return cfg
+
+    @pytest.mark.parametrize("command", ["pattern", "scan-duality"])
+    def test_dark_fringe_residue_is_clamped(self, tmp_path, command):
+        # at the dark fringe the pattern cancels a which-way sum of about 200
+        # to -1.4e-14, while the largest raw value on +-1e-4 m is below 1:
+        # the sum scales the floor
+        cfg = self.dark_fringe_config(tmp_path, command, 1e-4, 65)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        if command == "pattern":
+            _, rows = read_csv(out)
+            intensity = np.array([float(row[1]) for row in rows])
+            assert intensity.min() >= 0.0
+            spacing = 2e-4 / 64  # the trapezoid rule
+            integral = spacing * (intensity.sum() - 0.5 * (intensity[0] + intensity[-1]))
+            assert integral == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("command", ["pattern", "scan-duality"])
+    def test_a_pattern_of_residue_alone_is_a_numeric_failure(self, tmp_path, capsys, command):
+        # on +-1e-20 m around the dark fringe every value is residue: clamped,
+        # the pattern integrates to 0
+        cfg = self.dark_fringe_config(tmp_path, command, 1e-20, 64)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "numeric failure: pattern integral 0.0 is not a positive number\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["pattern", "eraser"])
@@ -754,6 +793,73 @@ class TestEntryPoints:
                               preexec_fn=lambda: os.close(1))
         assert (proc.returncode, proc.stderr.decode()) == (0, f"wrote {out}\n")
         assert out.read_text().startswith('{"delta_px": ')
+
+    @pytest.mark.parametrize("job, code", [("written", 0), ("config error", 1),
+                                           ("numeric failure", 2)])
+    def test_a_stderr_that_cannot_be_written_changes_no_exit_code(self, tmp_path, job, code):
+        # the "wrote" line, the config error and the numeric failure all fail
+        # to print on /dev/full; the job exits as it would with a stderr
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        cfg = write_config(tmp_path)
+        argv = ["bohr", "--config", str(cfg)]
+        if job == "config error":
+            argv[-1] = str(tmp_path / "missing.json")
+        elif job == "numeric failure":  # the fringe width overflows
+            argv[0] = "pattern"
+            write_config(tmp_path, geometry={"lambda_d": 1e200, "slit_sep": 1e-100,
+                                             "screen_dist": 1e200, "packet_width": 1e-105})
+        out = tmp_path / "out"
+        env = _child_env()
+        env.pop("PYTHONUNBUFFERED", None)  # the default, buffered stderr
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "whichway", *argv, "--out", str(out)],
+                                  stdout=subprocess.PIPE, stderr=full, env=env)
+        assert (proc.returncode, proc.stdout) == (code, b"")
+        if code == 0:
+            assert main([*argv, "--out", str(tmp_path / "normal")]) == 0
+            assert out.read_bytes() == (tmp_path / "normal").read_bytes()
+        else:
+            assert not out.exists()
+
+    @pytest.mark.parametrize("config, code", [("config.json", 0), ("missing.json", 1)])
+    def test_a_closed_stderr_writes_nothing_to_stdout(self, tmp_path, config, code):
+        # sys.stderr is None then, and print(file=None) would print to stdout
+        write_config(tmp_path)
+        out = tmp_path / "out.json"
+        proc = subprocess.run([sys.executable, "-m", "whichway", "bohr", "--config",
+                               str(tmp_path / config), "--out", str(out)],
+                              stdout=subprocess.PIPE, env=_child_env(),
+                              preexec_fn=lambda: os.close(2))
+        assert (proc.returncode, proc.stdout) == (code, b"")
+        assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize("job", ["bohr", "pattern", "scan-duality"])
+    def test_a_zipped_package_writes_what_the_source_tree_writes(self, tmp_path, job):
+        # the config schema is read through the package's loader, which
+        # reads a zip as it reads a directory
+        package = os.path.dirname(whichway.__file__)
+        archive = tmp_path / "whichway.zip"
+        with zipfile.ZipFile(archive, "w") as zf:
+            for name in sorted(os.listdir(package)):
+                if name.endswith((".py", ".json")):
+                    zf.write(os.path.join(package, name), f"whichway/{name}")
+        run = {"geometry": dict(STANDARD_GEOMETRY), "detector": {"overlap": 0.6, "phase": 0.3}}
+        cfg = tmp_path / "config.json"
+        if job == "scan-duality":
+            cfg.write_text(json.dumps({"base": run, "sweep_param": "overlap",
+                                       "values": [0.0, 0.5, 1.0]}))
+        else:
+            cfg.write_text(json.dumps(run))
+        zipped = dict(os.environ, PYTHONPATH=str(archive))
+        probe = subprocess.run([sys.executable, "-c", "import whichway.cli as m; print(m.__file__)"],
+                               capture_output=True, text=True, env=zipped)
+        assert probe.stdout.startswith(str(archive)), probe.stderr
+        argv = [sys.executable, "-m", "whichway", job, "--config", str(cfg)]
+        from_zip = subprocess.run(argv, capture_output=True, env=zipped)
+        from_tree = subprocess.run(argv, capture_output=True, env=_child_env())
+        assert from_zip.returncode == from_tree.returncode == 0
+        assert (from_zip.stdout, from_zip.stderr) == (from_tree.stdout, from_tree.stderr)
 
     def test_subcommand_help(self):
         for name in ("pattern", "scan-duality", "eraser", "uncertainty-scan", "bohr"):

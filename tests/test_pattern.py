@@ -459,6 +459,55 @@ class TestNumericFailurePath:
             with pytest.raises(NumericFailure, match=r"intensity -2e-1[35] below the clamp floor"):
                 pattern._clamp_and_normalize(weights, bad)
 
+    def test_clamp_floor_scales_with_the_which_way_sum_below_the_raw_floor(self):
+        weights = np.full(4, 0.5)
+        calls = []
+
+        def which_way():
+            calls.append(None)
+            return 200.0
+
+        pattern._clamp_and_normalize(weights, [np.array([1.0, -9e-16, 0.5, 0.0])], which_way)
+        assert calls == []  # within the raw floor: the sum is not asked for
+        raw = np.array([1e-3, -1.4e-14, 1e-3, 0.0])
+        pattern._clamp_and_normalize(weights, [raw], which_way)
+        assert len(calls) == 1 and raw[1] == 0.0
+        with pytest.raises(NumericFailure,
+                           match=r"^intensity -3e-13 below the clamp floor -2e-13; "):
+            pattern._clamp_and_normalize(weights, [np.array([1e-3, -3e-13, 1e-3, 0.0])],
+                                         which_way)
+
+    def test_dark_fringe_residue_is_clamped_on_every_route(self, joint_state):
+        # s 1, theta pi: on +-1e-4 m around the dark fringe the raw pattern
+        # cancels a which-way sum of about 200 to -1.4e-14 at x = 0
+        grid = ScreenGrid(-1e-4, 1e-4, 65)
+        js = joint_state(1.0, math.pi)
+        er = conditional_patterns(grid, js, rotated_basis(0.0))
+        for samples in (pattern_on_grid(grid, js), closed_form_on_grid(grid, js)[0], er.i_sum):
+            assert samples.intensity.min() >= 0.0
+            assert grid._weights @ samples.intensity == pytest.approx(1.0, abs=1e-12)
+
+    def test_each_route_scales_the_floor_by_its_which_way_sum(self, joint_state, monkeypatch):
+        # the direct route 2P, the closed form its envelope and the eraser
+        # the unconditioned 2P, which bounds each branch's sum
+        grid = ScreenGrid(-0.025, 0.025, 4097)
+        js = joint_state(0.6, 0.3)
+        clamp, scales = pattern._clamp_and_normalize, []
+
+        def record(weights, branches, which_way):
+            scales.append(which_way())
+            return clamp(weights, branches)
+
+        monkeypatch.setattr(pattern, "_clamp_and_normalize", record)
+        direct = pattern_on_grid(grid, js)
+        closed, envelope, _ = closed_form_on_grid(grid, js)
+        er = conditional_patterns(grid, js, rotated_basis(0.4))
+        assert scales[0] == 2.0 * float(pattern._which_way_sum(*direct.reference).max())
+        assert scales[1] == pytest.approx(float(envelope.max()) * closed.norm_constant, rel=1e-15)
+        assert scales[2] == scales[0]
+        for branch in (er.i_b, er.i_b_perp):
+            assert float(branch.which_way().max()) * branch.norm_constant <= scales[2]
+
     @pytest.mark.parametrize("branch", [0, 1])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_fail_in_either_branch(self, bad, branch):
