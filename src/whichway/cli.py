@@ -3,8 +3,11 @@
 Exit codes: 0 success, 1 configuration/validation problem or a stdout that
 cannot be written, 2 numeric failure; a stderr that cannot be written
 changes none of them.  Output bytes are a deterministic function of the
-config (floats serialized with 17 significant digits; run chatter goes to
-stderr).
+config (run chatter goes to stderr).  Every float is written as
+``"%.17g" % v`` writes it: the NumPy columns of ``pattern``, ``eraser``,
+``uncertainty-scan`` and ``scan-duality`` through the bulk formatter
+``_format``, which computes the same bytes a column at a time, and Python
+floats (``bohr``'s fields, the ``min_sum`` trailer) through ``%`` itself.
 
 ``run``, the entry point of the script and of ``python -m whichway``, also
 sets up the process around ``main``: glibc's allocator thresholds and the
@@ -15,10 +18,11 @@ job's objects.  ``main`` called from Python leaves all of these as they are.
 Every job is a fresh process, so this module imports at load only the
 standard library, the config schema, the record base, ``Geometry`` and the
 recoil report, and each subcommand imports the modules it computes with
-when it runs (``tests/test_import_floor.py`` pins which; no job imports
-``dataclasses`` or ``importlib.resources``).  The package's public names
-still read through this module (``cli.duality_report`` is
-``analysis.duality_report``).
+when it runs, the formatter with its first NumPy column
+(``tests/test_import_floor.py`` pins which; no job imports
+``dataclasses``, ``importlib.resources``, ``fractions`` or ``decimal``).
+The package's public names still read through this module
+(``cli.duality_report`` is ``analysis.duality_report``).
 """
 from __future__ import annotations
 
@@ -73,8 +77,25 @@ def _plain(value):
     return value.tolist() if hasattr(value, "tolist") else value
 
 
+def _is_column(value) -> bool:
+    """Whether value is a NumPy array of at least one dimension, which
+    ``_format`` serializes; Python values and NumPy scalars go through ``%``."""
+    return getattr(value, "ndim", 0) > 0
+
+
+def _joined(columns: list, end: str = "\n") -> str:
+    """The rows of NumPy columns, cells joined by commas and each row
+    followed by end, through the bulk formatter (``_format``, loaded by the
+    jobs that have a column)."""
+    from ._format import joined
+
+    return joined(columns, ",", end).decode()
+
+
 def _cells(column) -> list[str]:
     """Serialize a column or scalar: floats at 17 significant digits, bools lowercase."""
+    if _is_column(column):
+        return _joined([column]).splitlines()
     values = _plain(column)
     if not isinstance(values, list):
         values = [values]
@@ -85,6 +106,8 @@ def _cells(column) -> list[str]:
 
 def _emit_csv(columns: dict) -> str:
     """One header line, then one line per row; a scalar field makes a single row."""
+    if all(map(_is_column, columns.values())):
+        return ",".join(columns) + "\n" + _joined(list(columns.values()))
     rows = map(",".join, zip(*map(_cells, columns.values())))
     return "\n".join([",".join(columns), *rows]) + "\n"
 
@@ -92,6 +115,8 @@ def _emit_csv(columns: dict) -> str:
 def _emit_json(fields: dict) -> str:
     # hand-rolled so floats keep the 17-digit contract (json.dumps uses repr)
     def render(value):
+        if _is_column(value):
+            return "[" + _joined([value], ", ")[:-2] + "]"
         value = _plain(value)
         cells = _cells(value)
         return "[" + ", ".join(cells) + "]" if isinstance(value, list) else cells[0]
@@ -123,17 +148,24 @@ def _write_output(text: str, path: str | None):
         # followed so the file it names is replaced, not the link
         target = os.path.realpath(path)
         tmp = f"{target}.{os.getpid()}.tmp"
-        fh = open(tmp, "x", encoding="utf-8", newline="")
         try:
-            with fh:
-                fh.write(text)
-            if os.path.exists(target):
-                # the replacement keeps the old file's permission bits
-                os.chmod(tmp, os.stat(target).st_mode & 0o7777)
-            os.replace(tmp, target)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            fh = open(tmp, "x", encoding="utf-8", newline="")
+            try:
+                with fh:
+                    fh.write(text)
+                if os.path.exists(target):
+                    # the replacement keeps the old file's permission bits
+                    os.chmod(tmp, os.stat(target).st_mode & 0o7777)
+                os.replace(tmp, target)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except OSError as exc:
+            if exc.filename != tmp:
+                raise
+            # name the path the user gave, not the temporary file, whose
+            # name changes with every process
+            raise OSError(exc.errno, exc.strerror, path) from None
     _note(f"wrote {path}")
 
 
@@ -289,6 +321,8 @@ def _cmd_pattern(args) -> tuple[RunConfig, dict]:
 
 
 def _cmd_scan_duality(args) -> tuple[RunConfig, dict]:
+    import numpy as np
+
     from .analysis import DualityReport, duality_report
     from .pattern import ScreenGrid, default_grid
 
@@ -298,9 +332,9 @@ def _cmd_scan_duality(args) -> tuple[RunConfig, dict]:
         configured = ScreenGrid(*base.grid) if base.grid else None  # one for every value
         for geometry, pair in runs:
             reports.append(duality_report(geometry, pair, configured or default_grid(geometry)))
-    columns = {"s": [pair.overlap_mag for _, pair in runs]}
+    columns = {"s": np.array([pair.overlap_mag for _, pair in runs])}
     for name in DualityReport._fields:
-        columns[name] = [getattr(rep, name) for rep in reports]
+        columns[name] = np.array([getattr(rep, name) for rep in reports])
     return base, columns
 
 

@@ -621,8 +621,91 @@ def _cells_through_numpy(column):
     return ["%.17g" % v for v in values.tolist()]
 
 
+def _emit_csv_before(columns: dict) -> str:
+    """The CSV emitter before NumPy columns went through the bulk formatter."""
+    rows = map(",".join, zip(*map(_cells_through_numpy, columns.values())))
+    return "\n".join([",".join(columns), *rows]) + "\n"
+
+
+def _emit_json_before(fields: dict) -> str:
+    """The JSON emitter before NumPy columns went through the bulk formatter."""
+    def render(value):
+        cells = _cells_through_numpy(value)
+        return "[" + ", ".join(cells) + "]" if np.ndim(value) else cells[0]
+
+    return "{" + ", ".join(f"{json.dumps(k)}: {render(v)}" for k, v in fields.items()) + "}\n"
+
+
+def _percent(values) -> bytes:
+    """Each value as ``"%.17g" % v`` writes it, one a line: the bulk formatter's oracle."""
+    return "".join("%.17g\n" % v for v in values.tolist()).encode()
+
+
+def _exact_ties() -> list[float]:
+    """Floats whose exact decimal expansion has 18 significant digits, so
+    that 17 digits end on an exact tie: m / 2^k with m odd, m * 5^k in
+    [10^17, 10^18)."""
+    ties = []
+    for k in range(2, 26):
+        m = -(-10 ** 17 // 5 ** k) | 1
+        if m < 2 ** 53 and m * 5 ** k < 10 ** 18:
+            ties += [m / 2 ** k, (m + 2) / 2 ** k]
+    return ties
+
+
+def _format_sets() -> dict:
+    from whichway._format import ROWS
+
+    rng = np.random.default_rng(20261022)
+    powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17])
+    return {
+        "powers-of-ten": powers,
+        "below-powers-of-ten": np.nextafter(powers, 0.0),
+        "above-powers-of-ten": np.nextafter(powers, np.inf),
+        "special": np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072014e-308,
+                             1.7976931348623157e308]),
+        "around-2**53-and-2**63": np.array([2.0 ** 53 + i for i in range(-8, 9, 2)]
+                                           + [2.0 ** 63 + i * 2048 for i in range(-4, 5)]),
+        "notation-switches": np.concatenate([switches, np.nextafter(switches, 0.0),
+                                             np.nextafter(switches, np.inf)]),
+        # 17 nines round up into the next decade
+        "carries": np.array([9.9999999999999999e22, 9.99999999999999995e-5, 99999999999999999.0,
+                             9.9999999999999999e-300, 0.99999999999999999]),
+        # the rounded product is exactly 10^16 while the exact one is below it
+        "product-rounds-to-a-decade": np.array([9.9999999999999996e-281,
+                                                9.9999999999999989e-277,
+                                                9.9999999999999991e-254,
+                                                9.9999999999999993e-250]),
+        "exact-ties": np.array(_exact_ties()),
+        "chunk-1": rng.standard_normal(ROWS - 1),
+        "chunk": rng.random(ROWS) * 10.0 ** rng.integers(-30, 30, ROWS),
+        "chunk+1": rng.standard_normal(ROWS + 1) * 1e-3,
+        "strided": rng.standard_normal((1000, 3))[:, 1],
+        "empty": np.array([]),
+    }
+
+
+FORMAT_SETS = _format_sets()
+
+
+def _random_columns(rng, n: int) -> dict:
+    """A dict of float64 and bool columns of length n, each drawn from one
+    of several distributions."""
+    draws = [
+        lambda: rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64),
+        lambda: rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8),
+        lambda: rng.random(n),
+        lambda: np.where(rng.random(n) < 0.5, 0.0, -rng.random(n)),
+        lambda: rng.integers(-1000, 1000, n).astype(np.float64),
+        lambda: rng.random(n) < 0.5,
+    ]
+    return {f"c{i}": draws[rng.integers(len(draws))]() for i in range(rng.integers(1, 6))}
+
+
 class TestSerialization:
-    """Python floats, bools and lists serialize as NumPy arrays of them did."""
+    """Python floats, bools and lists serialize as NumPy arrays of them did,
+    and NumPy columns through the bulk formatter as through ``%``."""
 
     COLUMNS = {
         "float": 0.1,
@@ -650,6 +733,55 @@ class TestSerialization:
         text = _emit_json({"a": [1.5], "b": np.array([True]), "c": np.float64(0.25),
                            "d": np.array(0.5), "e": False})
         assert text == '{"a": [1.5], "b": [true], "c": 0.25, "d": 0.5, "e": false}\n'
+
+    @pytest.mark.parametrize("name", list(FORMAT_SETS))
+    def test_bulk_formatter_matches_percent(self, name):
+        from whichway._format import joined
+
+        values = FORMAT_SETS[name]
+        for column in (values, -values):
+            assert joined([column]) == _percent(column)
+
+    def test_bulk_formatter_matches_percent_on_random_bit_patterns(self):
+        from whichway._format import joined
+
+        bits = np.random.default_rng(1407).integers(0, 2 ** 64, 200_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        assert joined([values]) == _percent(values)
+
+    def test_bulk_formatter_matches_percent_on_any_bit_pattern(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        from whichway._format import joined
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+        def check(bits):
+            values = np.array(bits, np.uint64).view(np.float64)
+            assert joined([values]) == _percent(values)
+
+        check()
+
+    def test_fast_path_takes_ordinary_values(self):
+        # the fast path must decide nearly every normal value itself, or the
+        # byte comparisons above would pass on % alone
+        from whichway._format import _decimal
+
+        rng = np.random.default_rng(6326)
+        values = rng.random(100_000) * 10.0 ** rng.integers(-270, 270, 100_000)
+        _, _, fast = _decimal(np.concatenate([values, -values, np.zeros(10)]))
+        assert np.count_nonzero(~fast) <= 10
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_emitters_match_the_parent_on_random_columns(self, seed):
+        from whichway._format import ROWS
+        from whichway.cli import _emit_csv, _emit_json
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.choice([0, 1, 7, ROWS - 1, ROWS + 1, 2 * ROWS + 3]))
+        columns = _random_columns(rng, n)
+        assert _emit_csv(columns) == _emit_csv_before(columns)
+        assert _emit_json(columns) == _emit_json_before(columns)
 
 
 class TestEntryPoints:
@@ -1103,3 +1235,15 @@ class TestWriteOutput:
         cfg = write_config(tmp_path)
         assert main(["pattern", "--config", str(cfg), "--out", str(tmp_path / "no" / "p.csv")]) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_write_error_names_the_given_path(self, tmp_path, capsys):
+        # not the temporary file beside it, whose name holds the process id
+        cfg = write_config(tmp_path)
+        out = tmp_path / "missing" / "o.csv"
+        errors = []
+        for _ in range(2):
+            assert main(["pattern", "--config", str(cfg), "--out", str(out)]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0] == f"config error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert not list(tmp_path.rglob("*.tmp"))

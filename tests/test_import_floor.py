@@ -9,6 +9,9 @@ the ``oscillatory_residual`` diagnostic uses.  No entry point loads
 ``dataclasses`` or the resource reader (``importlib.resources`` with
 ``pathlib``, ``tempfile`` and ``zipfile``), and those that load no NumPy
 load no ``inspect`` or ``typing`` either (NumPy imports both itself).
+The bulk formatter ``whichway._format`` is loaded only by the jobs that write
+NumPy columns, so not by ``import whichway.cli`` or ``bohr``, and no job
+loads ``fractions`` or ``decimal``.
 
 The probes run under ``python -S``, with this tree and NumPy's directory on
 PYTHONPATH: a ``.pth`` file in site-packages may import modules at every
@@ -127,6 +130,18 @@ def test_subcommands_load_no_resource_reader(subcommand_loads, command):
     assert RESOURCE_READER.isdisjoint(modules)
     if "numpy" not in modules:
         assert "typing" not in modules
+
+
+@pytest.mark.parametrize("statement", ["import whichway", "import whichway.cli"])
+def test_import_loads_no_formatter(statement):
+    assert "whichway._format" not in loaded(statement)
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_only_jobs_with_numpy_columns_load_the_formatter(subcommand_loads, command):
+    modules = subcommand_loads(command)
+    assert ("whichway._format" in modules) == (command != "bohr")
+    assert {"fractions", "decimal"}.isdisjoint(modules)
 
 
 def test_uncertainty_scan_loads_neither_pattern_nor_analysis(subcommand_loads):
